@@ -10,12 +10,12 @@ from .core import (RadialPolynomial, ReducedElement, ReducedIndex,
                    fourier_matrix_element, g_reduced, g_tilde,
                    j_basis_from_canonical, matrix_element,
                    matrix_element_zaxis, mu_coefficient, omega_hat,
-                   overlap_polynomial, triple_bessel_nonoverlap,
+                   overlap_polynomial, regime_of, triple_bessel_nonoverlap,
                    triple_bessel_overlap)
 from .errors import (LaplaceMultipoleError, NonConvergence, NotDiagonal,
-                     NotPolynomial, PoleResidueError, PoleWithoutRegularizer,
-                     RegimeError, SingularConfiguration, TailTooLarge,
-                     WindowOverflow, ZeroWaveVector)
+                     PoleResidueError, PoleWithoutRegularizer, RegimeError,
+                     SingularConfiguration, TailTooLarge, WindowOverflow,
+                     ZeroWaveVector)
 from .laurent import (LaurentValue, RegularizedArgument, gamma_laurent,
                       hyper4f3_converged, hyper4f3_regularized,
                       pochhammer_laurent, reciprocal_gamma_laurent)
@@ -35,12 +35,12 @@ __all__ = [
     "gamma_laurent", "reciprocal_gamma_laurent", "pochhammer_laurent",
     "hyper4f3_regularized", "hyper4f3_converged",
     "mu_coefficient", "triple_bessel_nonoverlap", "triple_bessel_overlap",
-    "g_reduced", "overlap_polynomial", "j_basis_from_canonical",
+    "regime_of", "g_reduced", "overlap_polynomial", "j_basis_from_canonical",
     "canonical_from_j_basis", "matrix_element_zaxis", "matrix_element",
     "omega_hat", "fourier_matrix_element", "g_tilde",
     "defining_integral_quadrature", "hankel_triple_bessel",
     "hankel_forward", "hankel_inverse",
     "LaplaceMultipoleError", "PoleWithoutRegularizer", "WindowOverflow",
     "NonConvergence", "PoleResidueError", "RegimeError", "ZeroWaveVector",
-    "NotDiagonal", "NotPolynomial", "SingularConfiguration", "TailTooLarge",
+    "NotDiagonal", "SingularConfiguration", "TailTooLarge",
 ]

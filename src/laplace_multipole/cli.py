@@ -17,12 +17,11 @@ import math
 import os
 import random
 import sys
-import time
 
 from . import __version__
 from .core import (ReducedIndex, SphereGeometry, g_reduced, g_tilde,
                    matrix_element, matrix_element_zaxis, mu_coefficient,
-                   fourier_matrix_element, omega_hat, overlap_polynomial)
+                   fourier_matrix_element, omega_hat, regime_of)
 from .errors import LaplaceMultipoleError, ZeroWaveVector
 from .oracles import (QuadratureSpec, defining_integral_quadrature,
                       hankel_forward, hankel_triple_bessel)
@@ -92,10 +91,8 @@ def _cmd_element(args) -> int:
     lpmp = MultipoleIndex(args.lp, args.mp)
     geom = SphereGeometry.from_vector(args.R, args.radius)
     val = matrix_element(lm, lpmp, geom)
-    regime = ("overlap" if geom.R < 2 * geom.a
-              else "boundary" if geom.R == 2 * geom.a else "nonoverlap")
     rec = {"l": args.l, "m": args.m, "lp": args.lp, "mp": args.mp, "j": None,
-           "R": geom.R, "a": args.radius, "regime": regime,
+           "R": geom.R, "a": args.radius, "regime": regime_of(geom.R, geom.a),
            "value_re": val.real, "value_im": val.imag}
     _emit([rec], "element", {**vars(args), "R": ",".join(map(str, args.R))},
           args.format, sys.stdout)

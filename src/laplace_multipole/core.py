@@ -5,30 +5,28 @@ non-overlap (R >= 2a, power law) and overlap (R <= 2a, polynomial) regimes,
 the canonical <-> j-basis transforms, Fourier-space elements, and
 general-orientation elements assembled through Wigner rotations.
 
-The overlap regime evaluates a three-term regularized 4F3 assembly in
-Laurent arithmetic with the shift eps attached to the reduced index j.
-The finite part is returned after checking that all negative-order
-residues cancel.
+The overlap regime is a polynomial of degree l+l'+1 in rho = R/a, the
+finite part of a three-term regularized 4F3 assembly in Laurent arithmetic
+with the shift eps attached to the reduced index j.  Term k of each series
+lands on one power of rho, and terms past the degree are O(eps), so each
+(l, l', j) is built once from finitely many terms, power by power, with the
+negative orders checked to cancel at every power (compare the finite closed
+forms of Mehrem, Londergan & Macfarlane, J. Phys. A 24 (1991) 1435).
 """
 from __future__ import annotations
 
-import cmath
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-import numpy as np
 
-from .errors import (NonConvergence, PoleResidueError, RegimeError,
-                     NotDiagonal, NotPolynomial, WindowOverflow,
+from .errors import (NotDiagonal, PoleResidueError, RegimeError,
                      ZeroWaveVector)
-from .laurent import (LaurentValue, RegularizedArgument, gamma_laurent,
+from .laurent import (_DPS, LaurentValue, RegularizedArgument, gamma_laurent,
                       reciprocal_gamma_laurent)
-from .specfun import (EulerAngles, MultipoleIndex, spherical_bessel_j,
-                      spherical_harmonic, wigner_3j, wigner_3j_float,
-                      wigner_D)
+from .specfun import (MultipoleIndex, spherical_bessel_j, spherical_harmonic,
+                      wigner_3j, wigner_3j_float)
 
 _SQRT_PI3 = math.pi ** 1.5
 
@@ -64,6 +62,8 @@ class SphereGeometry:
     a: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.R, self.theta, self.phi, self.a))):
+            raise ValueError(f"geometry must be finite, got {self}")
         if self.a <= 0:
             raise ValueError("sphere radius must be positive")
         if self.R < 0:
@@ -102,11 +102,7 @@ class RadialPolynomial:
     a: float
 
     def evaluate(self, R: float) -> float:
-        t = R / self.a
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return self.scale * acc
+        return self.scale * _horner(self.coefficients, R / self.a)
 
 
 # ---------------------------------------------------------------------------
@@ -153,228 +149,216 @@ def triple_bessel_nonoverlap(idx: ReducedIndex, R: float, a: float) -> float:
 # triple-Bessel integral, overlap regime (regularized 4F3 assembly)
 # ---------------------------------------------------------------------------
 
-_SERIES_CAP = 8192
 _RESIDUE_TOL = 1e-8
-_TRAIL_TOL = 1e-14
+_WINDOW = (-4, 4)
 
 
-class _OverlapSeries:
-    """Per-(l, l', j) cache of Laurent coefficient vectors of the three
-    4F3 series (coefficient Gammas folded in), extendable in k.
+def _series_parameters(l: int, lp: int, j: int):
+    """Upper and lower 4F3 parameters of the three series, eps attached to j."""
+    A = RegularizedArgument
+    half = 0.5
+    return [
+        ([A((-l - lp) / 2), A((1 + l - lp) / 2), A((1 - l + lp) / 2),
+          A((2 + l + lp) / 2)],
+         [A(half), A((3 - j) / 2, -half), A((4 + j) / 2, half)]),
+        ([A((j - l - lp - 1) / 2, half), A((j + l - lp) / 2, half),
+          A((j + lp - l) / 2, half), A((l + lp + j + 1) / 2, half)],
+         [A((1 + j) / 2, half), A(j / 2, half), A(1.5 + j, 1.0)]),
+        ([A((1 - l - lp) / 2), A((2 + l - lp) / 2), A((2 + lp - l) / 2),
+          A((3 + l + lp) / 2)],
+         [A(1.5), A((4 - j) / 2, -half), A((5 + j) / 2, half)]),
+    ]
 
-    Orders are stored densely over [wmin, wmax] as float64; the per-term
-    construction runs in mpmath and is exact where factors are exactly zero.
+
+# coefficient Laurents; constants corrected against the independent
+# Hankel quadrature oracle (see tests)
+def _coef_alpha(l: int, lp: int, j: int) -> LaurentValue:
+    A, w = RegularizedArgument, _WINDOW
+    out = gamma_laurent(A((j - 1) / 2, 0.5), w)
+    out = out * reciprocal_gamma_laurent(A((1 + lp - l) / 2), w)
+    out = out * reciprocal_gamma_laurent(A((1 + l - lp) / 2), w)
+    out = out * reciprocal_gamma_laurent(A((j + 4) / 2, 0.5), w)
+    return out * mpmath.mpf(2) ** -3
+
+
+def _coef_beta(l: int, lp: int, j: int) -> LaurentValue:
+    A, w = RegularizedArgument, _WINDOW
+    out = gamma_laurent(A(1 - j, -1.0), w)
+    out = out * gamma_laurent(A((1 + l + lp + j) / 2, 0.5), w)
+    out = out * reciprocal_gamma_laurent(A((3 + l + lp - j) / 2, -0.5), w)
+    out = out * reciprocal_gamma_laurent(A((2 + lp - l - j) / 2, -0.5), w)
+    out = out * reciprocal_gamma_laurent(A((2 + l - lp - j) / 2, -0.5), w)
+    out = out * reciprocal_gamma_laurent(A(1.5 + j, 1.0), w)
+    return out * mpmath.mpf(2) ** -2
+
+
+def _coef_gamma(l: int, lp: int, j: int) -> LaurentValue:
+    A, w = RegularizedArgument, _WINDOW
+    out = gamma_laurent(A((j - 2) / 2, 0.5), w)
+    out = out * reciprocal_gamma_laurent(A((lp - l) / 2), w)
+    out = out * reciprocal_gamma_laurent(A((l - lp) / 2), w)
+    out = out * reciprocal_gamma_laurent(A((5 + j) / 2, 0.5), w)
+    return out * (mpmath.mpf(2) ** -4 * (l + lp + 1))
+
+
+def _overlap_terms(l: int, lp: int, j: int, top: int) -> list:
+    """Terms (i, n, Laurent) of the three 4F3 series whose power n of
+    rho = R/a is at most top; the integral is pi^1.5 / (2a) times the sum of
+    Laurent * rho^n over all terms.
+
+    With x = rho^2 / 4, term k carries 4^-k and lands on rho^(2k+1)
+    (series 1, i = 0), rho^(j+2k) (series 2, i = 1, which also carries
+    rho^eps) or rho^(2k+2) (series 3, i = 2, subtracted).
     """
-
-    def __init__(self, l: int, lp: int, j: int, window):
-        self.l, self.lp, self.j = l, lp, j
-        self.window = window
-        self.wmin, self.wmax = window
-        self.width = self.wmax - self.wmin + 1
-        self.lock = threading.Lock()
-        A = RegularizedArgument
-        half = 0.5
-        # upper/lower 4F3 parameters, eps attached to j
-        self.params = [
-            ([A((-l - lp) / 2), A((1 + l - lp) / 2), A((1 - l + lp) / 2),
-              A((2 + l + lp) / 2)],
-             [A(half), A((3 - j) / 2, -half), A((4 + j) / 2, half)]),
-            ([A((j - l - lp - 1) / 2, half), A((j + l - lp) / 2, half),
-              A((j + lp - l) / 2, half), A((l + lp + j + 1) / 2, half)],
-             [A((1 + j) / 2, half), A(j / 2, half), A(1.5 + j, 1.0)]),
-            ([A((1 - l - lp) / 2), A((2 + l - lp) / 2), A((2 + lp - l) / 2),
-              A((3 + l + lp) / 2)],
-             [A(1.5), A((4 - j) / 2, -half), A((5 + j) / 2, half)]),
-        ]
-        with mpmath.workdps(40):
-            self.coef = [self._coef_alpha(), self._coef_beta(), self._coef_gamma()]
-        # per-series running state: numerator, denominator products; k!
-        one = LaurentValue.constant(mpmath.mpf(1), window)
-        self.state = [[one, one, mpmath.mpf(1)] for _ in range(3)]
-        self.terms = [[], [], []]  # lists of float64 arrays, index k
-        self._extend(8)
-
-    # coefficient Laurents; constants corrected against the independent
-    # Hankel quadrature oracle (see tests)
-    def _coef_alpha(self):
-        l, lp, j, w = self.l, self.lp, self.j, self.window
-        A = RegularizedArgument
-        out = gamma_laurent(A((j - 1) / 2, 0.5), w)
-        out = out * reciprocal_gamma_laurent(A((1 + lp - l) / 2), w)
-        out = out * reciprocal_gamma_laurent(A((1 + l - lp) / 2), w)
-        out = out * reciprocal_gamma_laurent(A((j + 4) / 2, 0.5), w)
-        return out * mpmath.mpf(2) ** -3
-
-    def _coef_beta(self):
-        l, lp, j, w = self.l, self.lp, self.j, self.window
-        A = RegularizedArgument
-        out = gamma_laurent(A(1 - j, -1.0), w)
-        out = out * gamma_laurent(A((1 + l + lp + j) / 2, 0.5), w)
-        out = out * reciprocal_gamma_laurent(A((3 + l + lp - j) / 2, -0.5), w)
-        out = out * reciprocal_gamma_laurent(A((2 + lp - l - j) / 2, -0.5), w)
-        out = out * reciprocal_gamma_laurent(A((2 + l - lp - j) / 2, -0.5), w)
-        out = out * reciprocal_gamma_laurent(A(1.5 + j, 1.0), w)
-        return out * mpmath.mpf(2) ** -2
-
-    def _coef_gamma(self):
-        l, lp, j, w = self.l, self.lp, self.j, self.window
-        A = RegularizedArgument
-        out = gamma_laurent(A((j - 2) / 2, 0.5), w)
-        out = out * reciprocal_gamma_laurent(A((lp - l) / 2), w)
-        out = out * reciprocal_gamma_laurent(A((l - lp) / 2), w)
-        out = out * reciprocal_gamma_laurent(A((5 + j) / 2, 0.5), w)
-        return out * (mpmath.mpf(2) ** -4 * (l + lp + 1))
-
-    def _to_array(self, lv: LaurentValue) -> np.ndarray:
-        out = np.zeros(self.width)
-        for p, c in lv.items():
-            out[p - self.wmin] = float(c)
-        return out
-
-    def _extend(self, upto: int) -> None:
-        with mpmath.workdps(40):
-            for i in range(3):
-                ups, downs = self.params[i]
-                num, den, kfact = self.state[i]
-                terms = self.terms[i]
-                while len(terms) <= upto:
-                    k = len(terms)
-                    if k == 0:
-                        terms.append(self._to_array(self.coef[i]))
-                        continue
+    first = (1, j, 2)
+    sign = (1, 1, -1)
+    out = []
+    with mpmath.workdps(_DPS):
+        coefs = [_coef_alpha(l, lp, j), _coef_beta(l, lp, j),
+                 _coef_gamma(l, lp, j)]
+        one = LaurentValue.constant(mpmath.mpf(1), _WINDOW)
+        for i, (ups, downs) in enumerate(_series_parameters(l, lp, j)):
+            coef = coefs[i]
+            num, den, kfact = one, one, mpmath.mpf(1)
+            k = 0
+            while first[i] + 2 * k <= top:
+                if k == 0:
+                    term = coef
+                else:
                     for p in ups:
                         num = num * LaurentValue.linear(
                             mpmath.mpf(p.base) + (k - 1), mpmath.mpf(p.slope),
-                            self.window)
+                            _WINDOW)
                     for p in downs:
                         den = den * LaurentValue.linear(
                             mpmath.mpf(p.base) + (k - 1), mpmath.mpf(p.slope),
-                            self.window)
+                            _WINDOW)
                     kfact *= k
-                    if num.is_zero() or self.coef[i].is_zero():
-                        terms.append(np.zeros(self.width))
+                    if num.is_zero() or coef.is_zero():
+                        term = LaurentValue.zero(_WINDOW)
                     else:
-                        term = self.coef[i] * num * den.reciprocal() * (1 / kfact)
-                        terms.append(self._to_array(term))
-                self.state[i] = [num, den, kfact]
-
-    def term(self, i: int, k: int) -> np.ndarray:
-        if k >= len(self.terms[i]):
-            with self.lock:
-                self._extend(max(k, 2 * len(self.terms[i])))
-        return self.terms[i][k]
-
-    def series_sum(self, i: int, x: float) -> np.ndarray:
-        """sum_k term_k x^k with the trailing-3-terms convergence test."""
-        acc = np.zeros(self.width)
-        xk = 1.0
-        scale = 0.0
-        recent = []
-        k = 0
-        while True:
-            t = self.term(i, k) * xk
-            acc += t
-            tm = float(np.max(np.abs(t)))
-            scale = max(scale, float(np.max(np.abs(acc))))
-            recent.append(tm)
-            if len(recent) > 3:
-                recent.pop(0)
-            if k >= 3 and max(recent) <= _TRAIL_TOL * max(scale, 1e-300):
-                return acc
-            if k >= _SERIES_CAP:
-                raise NonConvergence(
-                    f"overlap 4F3 series for (l={self.l}, l'={self.lp}, "
-                    f"j={self.j}) not converged at x={x} after {k} terms")
-            k += 1
-            xk *= x
+                        term = coef * num * den.reciprocal() * (1 / kfact)
+                out.append((i, first[i] + 2 * k,
+                            term * (sign[i] * mpmath.mpf(4) ** -k)))
+                k += 1
+    return out
 
 
-_series_cache: dict = {}
-_series_cache_lock = threading.Lock()
+@dataclass(frozen=True)
+class _OverlapAssembly:
+    """Per-power Laurent sums of one (l, l', j): plain[n] multiplies rho^n,
+    logged[n] multiplies rho^(n+eps); coefficients[n] is the finite part of
+    their sum times pi^1.5 / 2."""
+
+    plain: tuple
+    logged: tuple
+    coefficients: tuple
 
 
-def _get_series(l: int, lp: int, j: int, window) -> _OverlapSeries:
-    key = (l, lp, j, window)
-    with _series_cache_lock:
-        eng = _series_cache.get(key)
-        if eng is None:
-            eng = _OverlapSeries(l, lp, j, window)
-            _series_cache[key] = eng
-        return eng
+@lru_cache(maxsize=None)
+def _overlap_assembly(l: int, lp: int, j: int) -> _OverlapAssembly:
+    """Assemble the overlap polynomial of degree l+l'+1 from the finitely
+    many series terms that reach it, checking pole cancellation per power.
+
+    Only even l+l'+j has one: for odd l+l'+j the series-2 terms have poles,
+    so rho^eps leaves ln(R/a) terms, and mu = 0 makes g_reduced vanish.
+    """
+    if (l + lp + j) % 2:
+        raise ValueError(
+            f"overlap polynomial defined for even l+l'+j only, got "
+            f"(l={l}, l'={lp}, j={j})")
+    degree = l + lp + 1
+    zero = LaurentValue.zero(_WINDOW)
+    plain, logged = [zero] * (degree + 1), [zero] * (degree + 1)
+    with mpmath.workdps(_DPS):
+        for series, n, term in _overlap_terms(l, lp, j, degree):
+            if series == 1:
+                # a pole here would leave ln(rho) at eps^0 through rho^eps
+                if any(c != 0 for p, c in term.items() if p < 0):
+                    raise PoleResidueError(
+                        f"series-2 term of rho^{n} for (l={l}, l'={lp}, j={j}) "
+                        f"has a pole")
+                logged[n] = logged[n] + term
+            else:
+                plain[n] = plain[n] + term
+        coefficients = []
+        for n in range(degree + 1):
+            total = plain[n] + logged[n]
+            residue = total.negative_order_residue()
+            if residue > _RESIDUE_TOL:
+                raise PoleResidueError(
+                    f"pole cancellation failed for (l={l}, l'={lp}, j={j}) at "
+                    f"rho^{n}: relative residue {residue:.3e}")
+            coefficients.append(_SQRT_PI3 / 2 * float(total.coefficient(0)))
+    return _OverlapAssembly(tuple(plain), tuple(logged), tuple(coefficients))
 
 
-def overlap_laurent(idx: ReducedIndex, R: float, a: float,
-                    window=(-4, 4)) -> LaurentValue:
+def _horner(coefficients, t: float) -> float:
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * t + c
+    return acc
+
+
+def overlap_laurent(idx: ReducedIndex, R: float, a: float) -> LaurentValue:
     """Assembled overlap-regime Laurent value of the triple-Bessel integral
     (before extracting the finite part), in units of 1/a."""
     if not 0 <= R <= 2 * a:
         raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
-    l, lp, j = idx.l, idx.lp, idx.j
-    eng = _get_series(l, lp, j, window)
-    wmin, wmax = window
-    width = wmax - wmin + 1
+    asm = _overlap_assembly(idx.l, idx.lp, idx.j)
     rho = R / a
-    if R == 0.0:
-        if j > 0:
-            return LaurentValue.zero(window)
-        # only the k=0 term of the R^j series survives; no log factor
-        vec = eng.term(1, 0).copy()
-        return LaurentValue(list(_SQRT_PI3 / (2 * a) * vec), wmin, window)
-    x = rho * rho / 4.0
-    s1 = eng.series_sum(0, x)
-    s2 = eng.series_sum(1, x)
-    s3 = eng.series_sum(2, x)
-    # (R/a)^(j+eps) = (R/a)^j exp(eps ln(R/a)); convolve s2 with the log column
-    lr = math.log(rho)
-    logcol = np.array([lr ** p / math.factorial(p) for p in range(0, wmax - wmin + 1)])
-    s2log = np.zeros(width)
-    for p in range(width):
-        # order index p receives sum over q <= p of s2[p-q] * lr^q / q!
-        s2log[p] = np.dot(s2[: p + 1][::-1], logcol[: p + 1])
-    total = rho * s1 + rho ** j * s2log - rho * rho * s3
-    total *= _SQRT_PI3 / (2 * a)
-    return LaurentValue(list(total), wmin, window)
+    if rho == 0.0:
+        # only rho^0 survives, and it carries no log factor
+        total = asm.plain[0] + asm.logged[0]
+    else:
+        # rho^eps = sum_q (eps ln rho)^q / q!
+        lr = math.log(rho)
+        logcol = LaurentValue([lr ** q / math.factorial(q)
+                               for q in range(_WINDOW[1] + 1)], 0, _WINDOW)
+        plain = logged = LaurentValue.zero(_WINDOW)
+        for n in reversed(range(len(asm.plain))):
+            plain = plain * rho + asm.plain[n]
+            logged = logged * rho + asm.logged[n]
+        total = plain + logged * logcol
+    return total * (_SQRT_PI3 / (2 * a))
 
 
 @lru_cache(maxsize=65536)
 def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
-    """int_0^inf j_j(kR) j_l(ka) j_l'(ka) dk for 0 <= R <= 2a.
+    """int_0^inf j_j(kR) j_l(ka) j_l'(ka) dk for 0 <= R <= 2a and even
+    l+l'+j (ValueError otherwise).
 
-    Three-term regularized 4F3 assembly; returns the finite eps^0 part
-    and raises PoleResidueError when the negative orders fail to cancel.
+    Horner evaluation of the cached polynomial of degree l+l'+1 in R/a,
+    whose build raises PoleResidueError when the poles fail to cancel.
     """
-    window = (-4, 4)
-    while True:
-        try:
-            lv = overlap_laurent(idx, R, a, window)
-            break
-        except WindowOverflow:
-            if window[0] <= -16:
-                raise
-            window = (2 * window[0], 2 * window[1])
-    if lv.negative_order_residue() > _RESIDUE_TOL:
-        raise PoleResidueError(
-            f"pole cancellation failed for {idx} at R={R}, a={a}: "
-            f"relative residue {lv.negative_order_residue():.3e}")
-    return float(lv.coefficient(0))
+    if not 0 <= R <= 2 * a:
+        raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
+    asm = _overlap_assembly(idx.l, idx.lp, idx.j)
+    return _horner(asm.coefficients, R / a) / a
 
 
 # ---------------------------------------------------------------------------
 # reduced elements and polynomials
 # ---------------------------------------------------------------------------
 
-def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
-    """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral."""
+def regime_of(R: float, a: float) -> str:
+    """Regime label of separation R for spheres of radius a: overlap
+    (R < 2a), boundary (R = 2a) or nonoverlap; ValueError for non-finite or
+    out-of-range input."""
+    if not (math.isfinite(R) and math.isfinite(a)):
+        raise ValueError(f"separation and radius must be finite, got R={R}, a={a}")
     if a <= 0:
         raise ValueError("sphere radius must be positive")
     if R < 0:
         raise ValueError("separation must be non-negative")
     if R < 2 * a:
-        regime = "overlap"
-    elif R == 2 * a:
-        regime = "boundary"
-    else:
-        regime = "nonoverlap"
+        return "overlap"
+    return "boundary" if R == 2 * a else "nonoverlap"
+
+
+def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
+    """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral."""
+    regime = regime_of(R, a)
     mu = mu_coefficient(idx)
     if mu == 0.0:
         return ReducedElement(idx, R, a, 0.0, regime)
@@ -386,58 +370,15 @@ def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
     return ReducedElement(idx, R, a, value, regime)
 
 
-def overlap_polynomial(idx: ReducedIndex, a: float,
-                       residual_tol: float = 1e-9,
-                       trim_tol: float = 1e-10) -> RadialPolynomial:
-    """Exact polynomial representation of the overlap-regime reduced element.
-
-    Interpolates g_reduced at l+l'+4 Chebyshev nodes placed in (0, 1.9a)
-    (inside the convergence region of the series, and wide enough that
-    the residual points below are interpolative rather than extrapolative),
-    then demands that extra sample points match the polynomial to
-    residual_tol relative; failure raises NotPolynomial.  Coefficients
-    below trim_tol relative to the largest are dropped before reporting
-    the degree.
-    """
-    if not idx.parity_even:
-        raise ValueError("overlap polynomial defined for even l+l'+j only")
-    l, lp = idx.l, idx.lp
-    n = l + lp + 4
-    scale = a ** (l + lp + 1)
-    # Chebyshev nodes on (0, 1.9a), expressed in t = R/a
-    ts = [0.95 * (1.0 + math.cos((2 * i + 1) * math.pi / (2 * n)))
-          for i in range(n)]
-    vals = [g_reduced(idx, t * a, a).value / scale for t in ts]
-    with mpmath.workdps(40):
-        A = mpmath.matrix(n, n)
-        b = mpmath.matrix(n, 1)
-        for i in range(n):
-            for c in range(n):
-                A[i, c] = mpmath.mpf(ts[i]) ** c
-            b[i] = vals[i]
-        coef = mpmath.lu_solve(A, b)
-        coeffs = [float(coef[c]) for c in range(n)]
-    cmax = max((abs(c) for c in coeffs), default=0.0)
-    if cmax == 0.0:
-        return RadialPolynomial(0, (0.0,), scale, a)
-    dropped = [(k, c) for k, c in enumerate(coeffs)
-               if 0 < abs(c) <= trim_tol * cmax]
-    coeffs = [c if abs(c) > trim_tol * cmax else 0.0 for c in coeffs]
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
-    poly = RadialPolynomial(len(coeffs) - 1, tuple(coeffs), scale, a)
-    # residual check on extra points away from the nodes; the budget
-    # includes what the coefficient trim deliberately discarded
-    for t in (0.11, 0.47, 0.93, 1.31, 1.77):
-        ref = g_reduced(idx, t * a, a).value
-        got = poly.evaluate(t * a)
-        denom = max(abs(ref), trim_tol * cmax * scale)
-        budget = residual_tol * denom + scale * sum(
-            abs(c) * t ** k for k, c in dropped)
-        if abs(got - ref) > budget:
-            raise NotPolynomial(
-                f"residual {abs(got - ref) / denom:.3e} at R/a={t} for {idx}")
-    return poly
+def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
+    """Exact polynomial representation of the overlap-regime reduced element:
+    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, from the cached assembly; even
+    l+l'+j only."""
+    degree = idx.l + idx.lp + 1
+    mu = mu_coefficient(idx)
+    coefficients = _overlap_assembly(idx.l, idx.lp, idx.j).coefficients
+    return RadialPolynomial(degree, tuple(mu * c for c in coefficients),
+                            a ** degree, a)
 
 
 # ---------------------------------------------------------------------------

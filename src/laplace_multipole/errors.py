@@ -33,10 +33,6 @@ class NotDiagonal(LaplaceMultipoleError):
     """Canonical-basis input has m != m' entries above tolerance."""
 
 
-class NotPolynomial(LaplaceMultipoleError):
-    """Sampled overlap element failed the polynomial residual check."""
-
-
 class SingularConfiguration(LaplaceMultipoleError):
     """Surface quadrature could not reach the requested accuracy."""
 

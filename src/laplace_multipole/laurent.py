@@ -4,18 +4,22 @@ Values are finite windows of coefficients of powers of a small shift
 ``eps`` that is attached to otherwise-integer parameters.  Gamma and
 Pochhammer factors with poles become Laurent values with negative-order
 coefficients; physically meaningful assemblies must end up with the
-negative orders cancelling, which callers check via :meth:`LaurentValue.is_finite`.
+negative orders cancelling, which callers check via
+:meth:`LaurentValue.negative_order_residue`.  The overlap-regime build in
+``core`` multiplies these values for a few series terms per power of R/a.
 
 Coefficients are kept as ``mpmath.mpf`` when produced by the Gamma
 machinery (40 significant digits by default) but the arithmetic is
-agnostic and works with plain floats too.
+agnostic and works with plain floats too.  The Gamma Taylor expansions
+behind :func:`gamma_laurent` are memoized per (base, length), since one
+build asks for the same few bases many times.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
-from mpmath import mp
 
 from .errors import NonConvergence, PoleWithoutRegularizer, WindowOverflow
 
@@ -224,9 +228,12 @@ class LaurentValue:
 # Regularized Gamma / Pochhammer / 4F3
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _gamma_taylor(base, nterms):
+    """Taylor coefficients of Gamma about base, memoized: an overlap build
+    asks for the same few (base, nterms) pairs many times over."""
     with mpmath.workdps(_DPS):
-        return mpmath.taylor(mpmath.gamma, mpmath.mpf(base), nterms - 1)
+        return tuple(mpmath.taylor(mpmath.gamma, mpmath.mpf(base), nterms - 1))
 
 
 def gamma_laurent(arg: RegularizedArgument, window=DEFAULT_WINDOW) -> LaurentValue:

@@ -87,6 +87,20 @@ def test_exit_code_domain_error(capsys):
     assert "error" in err
 
 
+def test_exit_code_nonfinite_input(capsys):
+    code, out, err = run(capsys, "reduced", "--l", "0", "--lp", "0", "--j", "0",
+                         "--R", "nan", "--radius", "1")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+    code, out, err = run(capsys, "element", "--l", "0", "--m", "0",
+                         "--lp", "0", "--mp", "0", "--R", "nan,0,1",
+                         "--radius", "1")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_exit_code_zero_wavevector(capsys):
     code, _, err = run(capsys, "fourier", "--l", "0", "--m", "0",
                        "--lp", "0", "--mp", "0", "--k", "0,0,0",

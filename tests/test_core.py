@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from laplace_multipole.core import (
     ReducedIndex,
     SphereGeometry,
+    _overlap_terms,
     canonical_from_j_basis,
     fourier_matrix_element,
     g_reduced,
@@ -19,12 +20,12 @@ from laplace_multipole.core import (
     mu_coefficient,
     omega_hat,
     overlap_polynomial,
+    regime_of,
     triple_bessel_nonoverlap,
     triple_bessel_overlap,
 )
 from laplace_multipole.errors import (
     NotDiagonal,
-    NotPolynomial,
     RegimeError,
     ZeroWaveVector,
 )
@@ -167,10 +168,57 @@ def test_overlap_branch_rejects_outside():
         triple_bessel_overlap(ReducedIndex(0, 0, 0), 3.0, 1.0)
 
 
-def test_not_polynomial_when_tolerance_unreachable():
-    with pytest.raises(NotPolynomial):
-        overlap_polynomial(ReducedIndex(2, 2, 2), 1.0,
-                           residual_tol=1e-30, trim_tol=1e-30)
+def test_overlap_branch_rejects_odd_parity():
+    # odd l+l'+j integrals carry ln(R/a); their reduced elements vanish (mu = 0)
+    with pytest.raises(ValueError):
+        triple_bessel_overlap(ReducedIndex(1, 1, 1), 0.7, 1.0)
+    with pytest.raises(ValueError):
+        overlap_polynomial(ReducedIndex(1, 2, 2), 1.0)
+    assert g_reduced(ReducedIndex(1, 1, 1), 0.7, 1.0).value == 0.0
+
+
+def _admissible(lmax):
+    for l in range(lmax + 1):
+        for lp in range(lmax + 1):
+            for j in range(abs(l - lp), l + lp + 1):
+                if (l + lp + j) % 2 == 0:
+                    yield ReducedIndex(l, lp, j)
+
+
+def test_overlap_finite_up_to_contact():
+    # the polynomial holds on the whole overlap range, right up to R = 2a
+    a = 1.0
+    worst = 0.0
+    for idx in _admissible(6):
+        near = [g_reduced(idx, R, a) for R in (1.999 * a, 2 * a * (1 - 1e-16))]
+        assert all(el.regime == "overlap" for el in near)
+        assert all(math.isfinite(el.value) for el in near)
+        # criterion 5's measure: the size of the polynomial itself
+        poly = overlap_polynomial(idx, a)
+        size = max(abs(c) for c in poly.coefficients) * poly.scale
+        outer = g_reduced(idx, 2 * a, a).value
+        worst = max(worst,
+                    abs(near[-1].value - outer) / max(abs(outer), size, 1e-10))
+    assert worst <= 1e-8
+    for R in (1.999 * a, 2 * a * (1 - 1e-16)):
+        want = -((R - 2 * a) ** 2) * (4 * a + R) / (16 * math.sqrt(3))
+        got = g_reduced(ReducedIndex(1, 1, 0), R, a).value
+        assert abs(got - want) / max(abs(want), 1e-2) <= 1e-10
+
+
+def test_overlap_series_terms_vanish_past_degree():
+    # the finite assembly stops at power l+l'+1; every term beyond it is
+    # O(eps) exactly, and no series-2 term (the one carrying rho^eps) has a
+    # pole, so truncating changes neither the finite part nor the residues
+    for idx in _admissible(4):
+        degree = idx.l + idx.lp + 1
+        terms = _overlap_terms(idx.l, idx.lp, idx.j, degree + 6)
+        assert max(n for _, n, _ in terms) > degree
+        for series, n, term in terms:
+            if series == 1:
+                assert all(c == 0 for p, c in term.items() if p < 0), (idx, n)
+            if n > degree:
+                assert all(c == 0 for p, c in term.items() if p <= 0), (idx, n)
 
 
 def test_exchange_symmetry():
@@ -188,6 +236,31 @@ def test_input_validation():
         g_reduced(ReducedIndex(0, 0, 0), 1.0, -1.0)
     with pytest.raises(ValueError):
         g_reduced(ReducedIndex(0, 0, 0), -1.0, 1.0)
+
+
+def test_regime_of_labels_and_rejects_nonfinite():
+    assert regime_of(0.0, 1.0) == "overlap"
+    assert regime_of(2 * (1 - 1e-16), 1.0) == "overlap"
+    assert regime_of(2.0, 1.0) == "boundary"
+    assert regime_of(2.5, 1.0) == "nonoverlap"
+    bad = [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+           (-1.0, 1.0), (1.0, 0.0)]
+    for R, a in bad:
+        with pytest.raises(ValueError):
+            regime_of(R, a)
+        with pytest.raises(ValueError):
+            g_reduced(ReducedIndex(0, 0, 0), R, a)
+
+
+def test_geometry_rejects_nonfinite():
+    with pytest.raises(ValueError):
+        SphereGeometry.from_vector((math.nan, 0.0, 1.0), 1.0)
+    with pytest.raises(ValueError):
+        SphereGeometry.from_vector((math.inf, 0.0, 1.0), 1.0)
+    with pytest.raises(ValueError):
+        SphereGeometry(1.0, math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        SphereGeometry(1.0, 0.0, 0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------

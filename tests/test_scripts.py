@@ -1,0 +1,23 @@
+"""Smoke tests for the scripts in scripts/: each is imported by path and its
+main() run at a small lmax, so a library change that breaks a script fails
+here."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["overlap_polynomials", "power_law_check"])
+def test_script_main_runs(name, capsys):
+    assert _load(name).main(["--lmax", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "(l=2, l'=2, j=4)" in out
