@@ -17,23 +17,21 @@ from .errors import (LaplaceMultipoleError, NonConvergence, NotDiagonal,
                      SingularConfiguration, TailTooLarge, WindowOverflow,
                      ZeroWaveVector)
 from .laurent import (LaurentValue, RegularizedArgument, gamma_laurent,
-                      hyper4f3_converged, hyper4f3_regularized,
-                      pochhammer_laurent, reciprocal_gamma_laurent)
+                      reciprocal_gamma_laurent)
 from .oracles import (QuadratureSpec, defining_integral_quadrature,
                       hankel_forward, hankel_inverse, hankel_triple_bessel)
 from .specfun import (EulerAngles, MultipoleIndex, ThreeJValue,
-                      factorial_exact, spherical_bessel_j, spherical_harmonic,
-                      wigner_3j, wigner_3j_float, wigner_D, wigner_small_d)
+                      spherical_bessel_j, spherical_harmonic, wigner_3j,
+                      wigner_3j_float, wigner_D, wigner_small_d)
 
 __all__ = [
     "__version__",
     "MultipoleIndex", "EulerAngles", "ThreeJValue", "ReducedIndex",
     "SphereGeometry", "ReducedElement", "RadialPolynomial",
     "LaurentValue", "RegularizedArgument", "QuadratureSpec",
-    "factorial_exact", "wigner_3j", "wigner_3j_float", "wigner_small_d",
+    "wigner_3j", "wigner_3j_float", "wigner_small_d",
     "wigner_D", "spherical_harmonic", "spherical_bessel_j",
-    "gamma_laurent", "reciprocal_gamma_laurent", "pochhammer_laurent",
-    "hyper4f3_regularized", "hyper4f3_converged",
+    "gamma_laurent", "reciprocal_gamma_laurent",
     "mu_coefficient", "triple_bessel_nonoverlap", "triple_bessel_overlap",
     "regime_of", "g_reduced", "overlap_polynomial", "j_basis_from_canonical",
     "canonical_from_j_basis", "matrix_element_zaxis", "matrix_element",

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
 
@@ -25,11 +24,10 @@ from .core import (ReducedIndex, SphereGeometry, g_reduced, g_tilde,
 from .errors import LaplaceMultipoleError, ZeroWaveVector
 from .oracles import (QuadratureSpec, defining_integral_quadrature,
                       hankel_forward, hankel_triple_bessel)
-from .specfun import EulerAngles, MultipoleIndex, wigner_3j_float, wigner_D
+from .specfun import EulerAngles, MultipoleIndex, wigner_D
 
 _CSV_FIELDS = ["l", "m", "lp", "mp", "j", "R", "a", "regime",
                "value_re", "value_im"]
-_WORKERS_ENV = "LAPLACE_MULTIPOLE_WORKERS"
 
 
 def _fmt(x) -> str:
@@ -107,28 +105,19 @@ def _admissible_triples(lmax: int):
                     yield (l, lp, j)
 
 
-def _table_cell(task):
-    l, lp, j, R, a = task
-    elem = g_reduced(ReducedIndex(l, lp, j), R, a)
-    return {"l": l, "m": None, "lp": lp, "mp": None, "j": j, "R": R, "a": a,
-            "regime": elem.regime, "value_re": elem.value, "value_im": 0.0}
-
-
 def _cmd_table(args) -> int:
     if args.R_count < 2:
         raise ValueError("R-count must be at least 2")
     grid = [args.R_start + i * (args.R_stop - args.R_start) / (args.R_count - 1)
             for i in range(args.R_count)]
-    tasks = [(l, lp, j, R, args.radius)
-             for (l, lp, j) in _admissible_triples(args.lmax)
-             for R in grid]
-    workers = int(os.environ.get(_WORKERS_ENV, "1"))
-    if workers > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_table_cell, tasks, chunksize=8))
-    else:
-        records = [_table_cell(t) for t in tasks]
+    records = []
+    for (l, lp, j) in _admissible_triples(args.lmax):
+        idx = ReducedIndex(l, lp, j)
+        for R in grid:
+            elem = g_reduced(idx, R, args.radius)
+            records.append({"l": l, "m": None, "lp": lp, "mp": None, "j": j,
+                            "R": R, "a": args.radius, "regime": elem.regime,
+                            "value_re": elem.value, "value_im": 0.0})
     buf = io.StringIO()
     _emit(records, "table", {**vars(args), "out": str(args.out)},
           args.format, buf)
@@ -165,7 +154,7 @@ def _cmd_fourier(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_golden(tol: float):
+def _check_golden():
     worst = 0.0
     s3 = 16 * math.sqrt(3)
     for a in (1.0, 2.5):
@@ -177,7 +166,7 @@ def _check_golden(tol: float):
     return worst
 
 
-def _check_hankel(lmax: int, tol: float):
+def _check_hankel(lmax: int):
     spec = QuadratureSpec()
     worst = 0.0
     for (l, lp, j) in _admissible_triples(lmax):
@@ -190,7 +179,7 @@ def _check_hankel(lmax: int, tol: float):
     return worst
 
 
-def _check_surface(lmax: int, tol: float):
+def _check_surface(lmax: int):
     spec = QuadratureSpec(node_count=10)
     worst = 0.0
     lcap = min(lmax, 2)
@@ -240,7 +229,7 @@ def _check_rotation(lmax: int, seed: int):
     return worst
 
 
-def _check_fourier(tol: float):
+def _check_fourier():
     spec = QuadratureSpec()
     idx = ReducedIndex(1, 1, 2)
     fw = hankel_forward(idx, 0.7, 1.0,
@@ -253,11 +242,11 @@ def _cmd_verify(args) -> int:
     if args.lmax > 4:
         raise ValueError("verify supports lmax <= 4 (oracle runtime budget)")
     checks = [
-        ("golden-polynomial", lambda: _check_golden(args.tol)),
-        ("hankel-oracle", lambda: _check_hankel(args.lmax, args.tol)),
-        ("surface-oracle", lambda: _check_surface(args.lmax, args.tol)),
+        ("golden-polynomial", _check_golden),
+        ("hankel-oracle", lambda: _check_hankel(args.lmax)),
+        ("surface-oracle", lambda: _check_surface(args.lmax)),
         ("rotation-covariance", lambda: _check_rotation(args.lmax, args.seed)),
-        ("fourier-forward", lambda: _check_fourier(args.tol)),
+        ("fourier-forward", _check_fourier),
     ]
     failed = None
     for name, fn in checks:

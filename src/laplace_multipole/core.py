@@ -25,8 +25,9 @@ from .errors import (NotDiagonal, PoleResidueError, RegimeError,
                      ZeroWaveVector)
 from .laurent import (_DPS, LaurentValue, RegularizedArgument, gamma_laurent,
                       reciprocal_gamma_laurent)
-from .specfun import (MultipoleIndex, spherical_bessel_j, spherical_harmonic,
-                      wigner_3j, wigner_3j_float)
+from .specfun import (MultipoleIndex, _check_integer_orders,
+                      spherical_bessel_j, spherical_harmonic, wigner_3j,
+                      wigner_3j_float)
 
 _SQRT_PI3 = math.pi ** 1.5
 
@@ -40,6 +41,7 @@ class ReducedIndex:
     j: int
 
     def __post_init__(self):
+        _check_integer_orders(self.l, self.lp, self.j)
         if min(self.l, self.lp, self.j) < 0:
             raise ValueError("orders must be non-negative")
         if not abs(self.l - self.lp) <= self.j <= self.l + self.lp:
@@ -93,13 +95,17 @@ class RadialPolynomial:
 
     scale carries the dimensional factor a^(l+l'+1); coefficients are
     dimensionless.  The trailing coefficient is nonzero unless the
-    polynomial is identically zero.
+    polynomial is identically zero.  residue is the pole-cancellation
+    residue of the build: the largest negative-order Laurent coefficient
+    left at any power, relative to that power's finite part (the build
+    fails above 1e-8).
     """
 
     degree: int
     coefficients: tuple
     scale: float
     a: float
+    residue: float
 
     def evaluate(self, R: float) -> float:
         return self.scale * _horner(self.coefficients, R / self.a)
@@ -150,7 +156,6 @@ def triple_bessel_nonoverlap(idx: ReducedIndex, R: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 _RESIDUE_TOL = 1e-8
-_WINDOW = (-4, 4)
 
 
 def _series_parameters(l: int, lp: int, j: int):
@@ -173,31 +178,31 @@ def _series_parameters(l: int, lp: int, j: int):
 # coefficient Laurents; constants corrected against the independent
 # Hankel quadrature oracle (see tests)
 def _coef_alpha(l: int, lp: int, j: int) -> LaurentValue:
-    A, w = RegularizedArgument, _WINDOW
-    out = gamma_laurent(A((j - 1) / 2, 0.5), w)
-    out = out * reciprocal_gamma_laurent(A((1 + lp - l) / 2), w)
-    out = out * reciprocal_gamma_laurent(A((1 + l - lp) / 2), w)
-    out = out * reciprocal_gamma_laurent(A((j + 4) / 2, 0.5), w)
+    A = RegularizedArgument
+    out = gamma_laurent(A((j - 1) / 2, 0.5))
+    out = out * reciprocal_gamma_laurent(A((1 + lp - l) / 2))
+    out = out * reciprocal_gamma_laurent(A((1 + l - lp) / 2))
+    out = out * reciprocal_gamma_laurent(A((j + 4) / 2, 0.5))
     return out * mpmath.mpf(2) ** -3
 
 
 def _coef_beta(l: int, lp: int, j: int) -> LaurentValue:
-    A, w = RegularizedArgument, _WINDOW
-    out = gamma_laurent(A(1 - j, -1.0), w)
-    out = out * gamma_laurent(A((1 + l + lp + j) / 2, 0.5), w)
-    out = out * reciprocal_gamma_laurent(A((3 + l + lp - j) / 2, -0.5), w)
-    out = out * reciprocal_gamma_laurent(A((2 + lp - l - j) / 2, -0.5), w)
-    out = out * reciprocal_gamma_laurent(A((2 + l - lp - j) / 2, -0.5), w)
-    out = out * reciprocal_gamma_laurent(A(1.5 + j, 1.0), w)
+    A = RegularizedArgument
+    out = gamma_laurent(A(1 - j, -1.0))
+    out = out * gamma_laurent(A((1 + l + lp + j) / 2, 0.5))
+    out = out * reciprocal_gamma_laurent(A((3 + l + lp - j) / 2, -0.5))
+    out = out * reciprocal_gamma_laurent(A((2 + lp - l - j) / 2, -0.5))
+    out = out * reciprocal_gamma_laurent(A((2 + l - lp - j) / 2, -0.5))
+    out = out * reciprocal_gamma_laurent(A(1.5 + j, 1.0))
     return out * mpmath.mpf(2) ** -2
 
 
 def _coef_gamma(l: int, lp: int, j: int) -> LaurentValue:
-    A, w = RegularizedArgument, _WINDOW
-    out = gamma_laurent(A((j - 2) / 2, 0.5), w)
-    out = out * reciprocal_gamma_laurent(A((lp - l) / 2), w)
-    out = out * reciprocal_gamma_laurent(A((l - lp) / 2), w)
-    out = out * reciprocal_gamma_laurent(A((5 + j) / 2, 0.5), w)
+    A = RegularizedArgument
+    out = gamma_laurent(A((j - 2) / 2, 0.5))
+    out = out * reciprocal_gamma_laurent(A((lp - l) / 2))
+    out = out * reciprocal_gamma_laurent(A((l - lp) / 2))
+    out = out * reciprocal_gamma_laurent(A((5 + j) / 2, 0.5))
     return out * (mpmath.mpf(2) ** -4 * (l + lp + 1))
 
 
@@ -216,7 +221,7 @@ def _overlap_terms(l: int, lp: int, j: int, top: int) -> list:
     with mpmath.workdps(_DPS):
         coefs = [_coef_alpha(l, lp, j), _coef_beta(l, lp, j),
                  _coef_gamma(l, lp, j)]
-        one = LaurentValue.constant(mpmath.mpf(1), _WINDOW)
+        one = LaurentValue.constant(mpmath.mpf(1))
         for i, (ups, downs) in enumerate(_series_parameters(l, lp, j)):
             coef = coefs[i]
             num, den, kfact = one, one, mpmath.mpf(1)
@@ -227,15 +232,13 @@ def _overlap_terms(l: int, lp: int, j: int, top: int) -> list:
                 else:
                     for p in ups:
                         num = num * LaurentValue.linear(
-                            mpmath.mpf(p.base) + (k - 1), mpmath.mpf(p.slope),
-                            _WINDOW)
+                            mpmath.mpf(p.base) + (k - 1), mpmath.mpf(p.slope))
                     for p in downs:
                         den = den * LaurentValue.linear(
-                            mpmath.mpf(p.base) + (k - 1), mpmath.mpf(p.slope),
-                            _WINDOW)
+                            mpmath.mpf(p.base) + (k - 1), mpmath.mpf(p.slope))
                     kfact *= k
                     if num.is_zero() or coef.is_zero():
-                        term = LaurentValue.zero(_WINDOW)
+                        term = LaurentValue.zero()
                     else:
                         term = coef * num * den.reciprocal() * (1 / kfact)
                 out.append((i, first[i] + 2 * k,
@@ -244,21 +247,12 @@ def _overlap_terms(l: int, lp: int, j: int, top: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _OverlapAssembly:
-    """Per-power Laurent sums of one (l, l', j): plain[n] multiplies rho^n,
-    logged[n] multiplies rho^(n+eps); coefficients[n] is the finite part of
-    their sum times pi^1.5 / 2."""
-
-    plain: tuple
-    logged: tuple
-    coefficients: tuple
-
-
 @lru_cache(maxsize=None)
-def _overlap_assembly(l: int, lp: int, j: int) -> _OverlapAssembly:
+def _overlap_assembly(l: int, lp: int, j: int) -> tuple:
     """Assemble the overlap polynomial of degree l+l'+1 from the finitely
     many series terms that reach it, checking pole cancellation per power.
+    Returns the coefficients (the finite part of each power's Laurent sum
+    times pi^1.5 / 2) and the largest relative residue of any power.
 
     Only even l+l'+j has one: for odd l+l'+j the series-2 terms have poles,
     so rho^eps leaves ln(R/a) terms, and mu = 0 makes g_reduced vanish.
@@ -268,29 +262,27 @@ def _overlap_assembly(l: int, lp: int, j: int) -> _OverlapAssembly:
             f"overlap polynomial defined for even l+l'+j only, got "
             f"(l={l}, l'={lp}, j={j})")
     degree = l + lp + 1
-    zero = LaurentValue.zero(_WINDOW)
-    plain, logged = [zero] * (degree + 1), [zero] * (degree + 1)
+    sums = [LaurentValue.zero()] * (degree + 1)
     with mpmath.workdps(_DPS):
         for series, n, term in _overlap_terms(l, lp, j, degree):
-            if series == 1:
-                # a pole here would leave ln(rho) at eps^0 through rho^eps
-                if any(c != 0 for p, c in term.items() if p < 0):
-                    raise PoleResidueError(
-                        f"series-2 term of rho^{n} for (l={l}, l'={lp}, j={j}) "
-                        f"has a pole")
-                logged[n] = logged[n] + term
-            else:
-                plain[n] = plain[n] + term
+            # a pole in a series-2 term would leave ln(rho) at eps^0
+            # through rho^eps
+            if series == 1 and any(c != 0 for p, c in term.items() if p < 0):
+                raise PoleResidueError(
+                    f"series-2 term of rho^{n} for (l={l}, l'={lp}, j={j}) "
+                    f"has a pole")
+            sums[n] = sums[n] + term
         coefficients = []
-        for n in range(degree + 1):
-            total = plain[n] + logged[n]
+        worst = 0.0
+        for n, total in enumerate(sums):
             residue = total.negative_order_residue()
             if residue > _RESIDUE_TOL:
                 raise PoleResidueError(
                     f"pole cancellation failed for (l={l}, l'={lp}, j={j}) at "
                     f"rho^{n}: relative residue {residue:.3e}")
+            worst = max(worst, residue)
             coefficients.append(_SQRT_PI3 / 2 * float(total.coefficient(0)))
-    return _OverlapAssembly(tuple(plain), tuple(logged), tuple(coefficients))
+    return tuple(coefficients), worst
 
 
 def _horner(coefficients, t: float) -> float:
@@ -298,29 +290,6 @@ def _horner(coefficients, t: float) -> float:
     for c in reversed(coefficients):
         acc = acc * t + c
     return acc
-
-
-def overlap_laurent(idx: ReducedIndex, R: float, a: float) -> LaurentValue:
-    """Assembled overlap-regime Laurent value of the triple-Bessel integral
-    (before extracting the finite part), in units of 1/a."""
-    if not 0 <= R <= 2 * a:
-        raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
-    asm = _overlap_assembly(idx.l, idx.lp, idx.j)
-    rho = R / a
-    if rho == 0.0:
-        # only rho^0 survives, and it carries no log factor
-        total = asm.plain[0] + asm.logged[0]
-    else:
-        # rho^eps = sum_q (eps ln rho)^q / q!
-        lr = math.log(rho)
-        logcol = LaurentValue([lr ** q / math.factorial(q)
-                               for q in range(_WINDOW[1] + 1)], 0, _WINDOW)
-        plain = logged = LaurentValue.zero(_WINDOW)
-        for n in reversed(range(len(asm.plain))):
-            plain = plain * rho + asm.plain[n]
-            logged = logged * rho + asm.logged[n]
-        total = plain + logged * logcol
-    return total * (_SQRT_PI3 / (2 * a))
 
 
 @lru_cache(maxsize=65536)
@@ -333,8 +302,8 @@ def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
     """
     if not 0 <= R <= 2 * a:
         raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
-    asm = _overlap_assembly(idx.l, idx.lp, idx.j)
-    return _horner(asm.coefficients, R / a) / a
+    coefficients, _ = _overlap_assembly(idx.l, idx.lp, idx.j)
+    return _horner(coefficients, R / a) / a
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +341,13 @@ def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
 
 def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     """Exact polynomial representation of the overlap-regime reduced element:
-    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, from the cached assembly; even
-    l+l'+j only."""
+    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, from the cached assembly, with
+    the assembly's pole-cancellation residue; even l+l'+j only."""
     degree = idx.l + idx.lp + 1
     mu = mu_coefficient(idx)
-    coefficients = _overlap_assembly(idx.l, idx.lp, idx.j).coefficients
+    coefficients, residue = _overlap_assembly(idx.l, idx.lp, idx.j)
     return RadialPolynomial(degree, tuple(mu * c for c in coefficients),
-                            a ** degree, a)
+                            a ** degree, a, residue)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +444,8 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 
 def _khat_angles(kvec):
     kx, ky, kz = (float(c) for c in kvec)
+    if not all(map(math.isfinite, (kx, ky, kz))):
+        raise ValueError(f"wave vector must be finite, got {tuple(kvec)}")
     k = math.sqrt(kx * kx + ky * ky + kz * kz)
     if k == 0.0:
         return 0.0, 0.0, 0.0
@@ -512,6 +483,8 @@ def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
     """Fourier-space reduced element
     4 pi (-i)^(-l+l') (2j+1) sqrt((2l+1)(2l'+1)) a^(l+l'+2) (l l' j;000)
     j_l(ka) j_l'(ka) / k^2."""
+    if not math.isfinite(k):
+        raise ValueError(f"wave number must be finite, got k={k}")
     if k <= 0.0:
         raise ZeroWaveVector("g_tilde requires k > 0")
     l, lp, j = idx.l, idx.lp, idx.j

@@ -1,12 +1,13 @@
 """Truncated Laurent-series arithmetic in a regularization parameter.
 
 Values are finite windows of coefficients of powers of a small shift
-``eps`` that is attached to otherwise-integer parameters.  Gamma and
-Pochhammer factors with poles become Laurent values with negative-order
-coefficients; physically meaningful assemblies must end up with the
-negative orders cancelling, which callers check via
+``eps`` that is attached to otherwise-integer parameters.  Gamma factors
+with poles become Laurent values with negative-order coefficients;
+physically meaningful assemblies must end up with the negative orders
+cancelling, which callers check via
 :meth:`LaurentValue.negative_order_residue`.  The overlap-regime build in
-``core`` multiplies these values for a few series terms per power of R/a.
+``core`` multiplies these values for a few series terms per power of R/a,
+all in the one window :data:`DEFAULT_WINDOW`.
 
 Coefficients are kept as ``mpmath.mpf`` when produced by the Gamma
 machinery (40 significant digits by default) but the arithmetic is
@@ -21,9 +22,9 @@ from functools import lru_cache
 
 import mpmath
 
-from .errors import NonConvergence, PoleWithoutRegularizer, WindowOverflow
+from .errors import PoleWithoutRegularizer, WindowOverflow
 
-DEFAULT_WINDOW = (-4, 2)
+DEFAULT_WINDOW = (-4, 4)
 _DPS = 40
 
 
@@ -110,17 +111,6 @@ class LaurentValue:
 
     def max_abs(self):
         return max((abs(c) for c in self.coeffs), default=0)
-
-    def is_finite(self, tol: float = 1e-8) -> bool:
-        """True when every negative-order coefficient is below tol relative
-        to the order-0 coefficient (or to the overall scale when that is 0)."""
-        scale = abs(self.coefficient(0))
-        if scale == 0:
-            scale = self.max_abs()
-        if scale == 0:
-            return True
-        return all(abs(c) <= tol * scale
-                   for p, c in self.items() if p < 0)
 
     def negative_order_residue(self) -> float:
         """Largest |coefficient| at negative order, relative to order 0."""
@@ -216,16 +206,13 @@ class LaurentValue:
             return self * (1 / other)
         return self * other.reciprocal()
 
-    def widened(self, window):
-        return LaurentValue(list(self.coeffs), self.pmin, window)
-
     def __repr__(self):
         terms = ", ".join(f"eps^{p}: {c}" for p, c in self.items())
         return f"LaurentValue({terms or '0'}; window={self.window})"
 
 
 # ---------------------------------------------------------------------------
-# Regularized Gamma / Pochhammer / 4F3
+# Regularized Gamma
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -270,74 +257,3 @@ def reciprocal_gamma_laurent(arg: RegularizedArgument,
     if arg.is_nonpositive_integer() and arg.slope == 0:
         return LaurentValue.zero(window)
     return gamma_laurent(arg, window).reciprocal()
-
-
-def pochhammer_laurent(arg: RegularizedArgument, k: int,
-                       window=DEFAULT_WINDOW) -> LaurentValue:
-    """(base + slope*eps)_k as an exact product of linear factors."""
-    if k < 0:
-        raise ValueError("Pochhammer order must be non-negative")
-    with mpmath.workdps(_DPS):
-        out = LaurentValue.constant(mpmath.mpf(1), window)
-        base = mpmath.mpf(arg.base)
-        slope = mpmath.mpf(arg.slope)
-        for i in range(k):
-            out = out * LaurentValue.linear(base + i, slope, window)
-    return out
-
-
-def hyper4f3_regularized(alphas, betas, x, kmax: int,
-                         window=DEFAULT_WINDOW) -> LaurentValue:
-    """Truncated 4F3 sum with Laurent-valued Pochhammer factors.
-
-    alphas: four RegularizedArguments, betas: three; |x| <= 1.
-    Raises WindowOverflow when a term's pole order exceeds the window.
-    """
-    if len(alphas) != 4 or len(betas) != 3:
-        raise ValueError("4F3 takes four upper and three lower parameters")
-    if abs(x) > 1:
-        raise ValueError("series evaluated only for |x| <= 1")
-    if kmax < 0:
-        raise ValueError("kmax must be non-negative")
-    with mpmath.workdps(_DPS):
-        xm = mpmath.mpf(x)
-        num = LaurentValue.constant(mpmath.mpf(1), window)
-        den = LaurentValue.constant(mpmath.mpf(1), window)
-        total = LaurentValue.constant(mpmath.mpf(1), window)
-        kfact = mpmath.mpf(1)
-        for k in range(1, kmax + 1):
-            for a in alphas:
-                num = num * LaurentValue.linear(
-                    mpmath.mpf(a.base) + (k - 1), mpmath.mpf(a.slope), window)
-            for b in betas:
-                den = den * LaurentValue.linear(
-                    mpmath.mpf(b.base) + (k - 1), mpmath.mpf(b.slope), window)
-            kfact *= k
-            if num.is_zero():
-                break
-            total = total + num * den.reciprocal() * (xm ** k / kfact)
-    return total
-
-
-def hyper4f3_converged(alphas, betas, x, kmax_start: int,
-                       window=DEFAULT_WINDOW, rel_tol: float = 1e-14,
-                       kmax_cap: int = 8192) -> LaurentValue:
-    """4F3 with the trailing-term convergence test and kmax doubling.
-
-    The last three retained terms must contribute less than rel_tol of
-    the running total (checked across all retained orders); otherwise
-    kmax doubles up to kmax_cap, after which NonConvergence is raised.
-    """
-    kmax = max(kmax_start, 3)
-    while True:
-        total = hyper4f3_regularized(alphas, betas, x, kmax, window)
-        trail = hyper4f3_regularized(alphas, betas, x, kmax - 3, window)
-        diff = (total - trail).max_abs()
-        scale = total.max_abs()
-        if scale == 0 or diff <= rel_tol * scale:
-            return total
-        if kmax >= kmax_cap:
-            raise NonConvergence(
-                f"4F3 trailing terms still {float(diff / scale):.2e} of total "
-                f"at kmax={kmax}")
-        kmax *= 2

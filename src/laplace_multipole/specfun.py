@@ -1,7 +1,7 @@
 """Angular-momentum special functions under Condon-Shortley phase conventions.
 
-Provides exact factorials and Wigner 3-j symbols (arbitrary-precision
-rational arithmetic under the square root), Wigner d/D rotation matrices,
+Provides exact Wigner 3-j symbols (arbitrary-precision rational
+arithmetic under the square root), Wigner d/D rotation matrices,
 spherical harmonics, and spherical Bessel functions.  Conventions are fixed
 so that
 
@@ -13,11 +13,22 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from scipy.special import sph_harm_y
+
+
+def _check_integer_orders(*orders) -> None:
+    """ValueError unless every order is an integer (bool excluded; numpy
+    integers are accepted)."""
+    for n in orders:
+        # the type test keeps the common case off the slower ABC check
+        if type(n) is not int and (isinstance(n, bool)
+                                   or not isinstance(n, numbers.Integral)):
+            raise ValueError(f"orders must be integers, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +39,7 @@ class MultipoleIndex:
     m: int
 
     def __post_init__(self):
+        _check_integer_orders(self.l, self.m)
         if self.l < 0:
             raise ValueError(f"multipole order must be non-negative, got l={self.l}")
         if abs(self.m) > self.l:
@@ -41,13 +53,6 @@ class EulerAngles:
     alpha: float
     beta: float
     gamma: float
-
-
-def factorial_exact(n: int) -> int:
-    """n! as an exact arbitrary-precision integer."""
-    if n < 0:
-        raise ValueError(f"factorial of negative integer: {n}")
-    return math.factorial(n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from laplace_multipole.cli import _WORKERS_ENV, main
+from laplace_multipole.cli import main
 
 HEADER = "l,m,lp,mp,j,R,a,regime,value_re,value_im"
 
@@ -99,6 +99,13 @@ def test_exit_code_nonfinite_input(capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+    for k in ("nan,0,1", "0,0,inf"):
+        code, out, err = run(capsys, "fourier", "--l", "0", "--m", "0",
+                             "--lp", "0", "--mp", "0", "--k", k,
+                             "--radius", "1")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 def test_exit_code_zero_wavevector(capsys):
@@ -138,16 +145,6 @@ def test_table_shape_and_determinism(tmp_path, capsys):
     # each on a 3-point grid
     assert len(lines) == 1 + 5 * 3
     assert text == p2.read_text()
-
-
-def test_table_parallel_matches_serial(tmp_path, capsys, monkeypatch):
-    ps, pp = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    monkeypatch.delenv(_WORKERS_ENV, raising=False)
-    assert main(table_args(ps)) == 0
-    monkeypatch.setenv(_WORKERS_ENV, "3")
-    assert main(table_args(pp)) == 0
-    capsys.readouterr()
-    assert ps.read_bytes() == pp.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +237,14 @@ def test_input_validation():
         g_reduced(ReducedIndex(0, 0, 0), 1.0, -1.0)
     with pytest.raises(ValueError):
         g_reduced(ReducedIndex(0, 0, 0), -1.0, 1.0)
+    # orders must be integers: numpy integers pass, floats and bools do not
+    idx = ReducedIndex(np.int64(1), np.int64(1), np.int64(0))
+    assert g_reduced(idx, 1.0, 1.0).value == \
+        g_reduced(ReducedIndex(1, 1, 0), 1.0, 1.0).value
+    for l, lp, j in [(0.5, 0.5, 1.0), (1.0, 1, 0), (True, 1, 0),
+                     (1, 1, np.float64(2.0))]:
+        with pytest.raises(ValueError):
+            ReducedIndex(l, lp, j)
 
 
 def test_regime_of_labels_and_rejects_nonfinite():
@@ -373,6 +382,16 @@ def test_g_tilde_values_and_validation():
         g_tilde(ReducedIndex(0, 0, 0), 0.0, a)
     with pytest.raises(ZeroWaveVector):
         g_tilde(ReducedIndex(0, 0, 0), -1.0, a)
+    # non-finite wave numbers and wave vectors are domain errors
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            g_tilde(ReducedIndex(0, 0, 0), bad, a)
+    lm = MultipoleIndex(0, 0)
+    for kvec in ((math.nan, 0.0, 1.0), (0.0, 0.0, math.inf)):
+        with pytest.raises(ValueError):
+            omega_hat(lm, kvec, a)
+        with pytest.raises(ValueError):
+            fourier_matrix_element(lm, lm, kvec, a)
 
 
 def test_g_tilde_real_up_to_phase():

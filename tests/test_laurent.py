@@ -6,19 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laplace_multipole.errors import (
-    NonConvergence,
-    PoleWithoutRegularizer,
-    WindowOverflow,
-)
+from laplace_multipole.errors import PoleWithoutRegularizer, WindowOverflow
 from laplace_multipole.laurent import (
     DEFAULT_WINDOW,
     LaurentValue,
     RegularizedArgument,
     gamma_laurent,
-    hyper4f3_converged,
-    hyper4f3_regularized,
-    pochhammer_laurent,
     reciprocal_gamma_laurent,
 )
 
@@ -40,7 +33,6 @@ def test_constant_and_zero():
     assert c.coefficient(-1) == 0
     z = LaurentValue.zero()
     assert z.is_zero()
-    assert z.is_finite()
     assert z.negative_order_residue() == 0.0
 
 
@@ -63,13 +55,6 @@ def test_window_overflow_below_bottom():
 def test_empty_window_rejected():
     with pytest.raises(ValueError):
         LaurentValue([1.0], 0, window=(2, -2))
-
-
-def test_widened_keeps_coefficients():
-    v = LaurentValue([1.0, 2.0], -1, window=(-2, 2))
-    w = v.widened((-6, 6))
-    assert as_dict(w) == as_dict(v)
-    assert w.window == (-6, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -229,92 +214,6 @@ def test_gamma_reflection_formula():
     for p in range(0, 5):
         assert float(prod.coefficient(p)) == pytest.approx(
             float(ref[p]), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Pochhammer
-# ---------------------------------------------------------------------------
-
-def test_pochhammer_plain_values():
-    assert float(pochhammer_laurent(
-        RegularizedArgument(2.0), 3).coefficient(0)) == pytest.approx(24.0)
-    assert float(pochhammer_laurent(
-        RegularizedArgument(-3.5), 2).coefficient(0)) == pytest.approx(8.75)
-    v = pochhammer_laurent(RegularizedArgument(1.0), 0)
-    assert float(v.coefficient(0)) == 1.0
-
-
-def test_pochhammer_crossing_zero_is_order_eps():
-    # (-1 + eps)_3 = (-1+eps)(eps)(1+eps): vanishes at eps=0, leading -eps
-    v = pochhammer_laurent(RegularizedArgument(-1.0, 1.0), 3, window=WIDE)
-    assert float(v.coefficient(0)) == 0.0
-    assert float(v.coefficient(1)) == pytest.approx(-1.0)
-
-
-def test_pochhammer_negative_order_rejected():
-    with pytest.raises(ValueError):
-        pochhammer_laurent(RegularizedArgument(1.0), -1)
-
-
-# ---------------------------------------------------------------------------
-# regularized 4F3
-# ---------------------------------------------------------------------------
-
-def _plain(x):
-    return RegularizedArgument(x, 0.0)
-
-
-def test_4f3_reduces_to_geometric_series():
-    # all upper equal to matching lower plus one unit upper of 1 -> 1F0
-    alphas = [_plain(1.0), _plain(2.0), _plain(3.0), _plain(4.0)]
-    betas = [_plain(2.0), _plain(3.0), _plain(4.0)]
-    v = hyper4f3_converged(alphas, betas, 0.5, 8)
-    assert float(v.coefficient(0)) == pytest.approx(2.0, rel=1e-13)
-
-
-def test_4f3_terminating_series_exact():
-    # upper parameter 0 terminates the sum at the constant term
-    alphas = [_plain(0.0), _plain(2.0), _plain(3.0), _plain(4.0)]
-    betas = [_plain(5.0), _plain(6.0), _plain(7.0)]
-    v = hyper4f3_regularized(alphas, betas, 0.9, 50)
-    assert float(v.coefficient(0)) == pytest.approx(1.0)
-
-
-def test_4f3_matches_mpmath_hyper():
-    alphas = [_plain(0.5), _plain(1.0), _plain(1.5), _plain(2.0)]
-    betas = [_plain(2.5), _plain(3.0), _plain(3.5)]
-    v = hyper4f3_converged(alphas, betas, 0.25, 16)
-    ref = float(mpmath.hyper([0.5, 1.0, 1.5, 2.0], [2.5, 3.0, 3.5], 0.25))
-    assert float(v.coefficient(0)) == pytest.approx(ref, rel=1e-13)
-
-
-def test_4f3_pole_in_lower_parameter_gives_negative_orders():
-    # a lower parameter hitting 0 at k=1 injects an eps^-1 via 1/Gamma-free
-    # linear-factor inversion
-    alphas = [_plain(1.0)] * 4
-    betas = [RegularizedArgument(0.0, 1.0), _plain(2.0), _plain(2.0)]
-    v = hyper4f3_regularized(alphas, betas, 0.5, 6, window=WIDE)
-    assert not v.is_finite()
-    assert abs(float(v.coefficient(-1))) > 0
-
-
-def test_4f3_argument_and_shape_validation():
-    with pytest.raises(ValueError):
-        hyper4f3_regularized([_plain(1.0)] * 3, [_plain(2.0)] * 3, 0.5, 4)
-    with pytest.raises(ValueError):
-        hyper4f3_regularized([_plain(1.0)] * 4, [_plain(2.0)] * 2, 0.5, 4)
-    with pytest.raises(ValueError):
-        hyper4f3_regularized([_plain(1.0)] * 4, [_plain(2.0)] * 3, 1.5, 4)
-    with pytest.raises(ValueError):
-        hyper4f3_regularized([_plain(1.0)] * 4, [_plain(2.0)] * 3, 0.5, -1)
-
-
-def test_4f3_nonconvergence_raises():
-    # logarithmically divergent at x = 1 (sum of parameter excess = 0)
-    alphas = [_plain(1.0), _plain(1.0), _plain(0.5), _plain(0.5)]
-    betas = [_plain(1.0), _plain(1.0), _plain(1.0)]
-    with pytest.raises(NonConvergence):
-        hyper4f3_converged(alphas, betas, 1.0, 8, kmax_cap=64)
 
 
 def test_default_window_is_published():

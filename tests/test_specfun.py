@@ -10,33 +10,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laplace_multipole.specfun import (EulerAngles, MultipoleIndex,
-                                       factorial_exact, spherical_bessel_j,
-                                       spherical_harmonic, wigner_3j,
-                                       wigner_3j_float, wigner_D,
+                                       spherical_bessel_j, spherical_harmonic,
+                                       wigner_3j, wigner_3j_float, wigner_D,
                                        wigner_small_d)
 
 
 # ---------------------------------------------------------------------------
-# factorials and index types
+# index types
 # ---------------------------------------------------------------------------
-
-def test_factorial_values():
-    assert factorial_exact(0) == 1
-    assert factorial_exact(5) == 120
-    assert factorial_exact(20) == 2432902008176640000
-
-
-def test_factorial_negative_raises():
-    with pytest.raises(ValueError):
-        factorial_exact(-1)
-
 
 def test_multipole_index_invariants():
     MultipoleIndex(2, -2)
+    MultipoleIndex(np.int64(2), np.int32(-1))
     with pytest.raises(ValueError):
         MultipoleIndex(-1, 0)
     with pytest.raises(ValueError):
         MultipoleIndex(1, 2)
+    for l, m in [(1.5, 0.5), (1.0, 0), (True, 0), (1, False), ("1", 0)]:
+        with pytest.raises(ValueError):
+            MultipoleIndex(l, m)
 
 
 # ---------------------------------------------------------------------------
