@@ -12,12 +12,9 @@ from .core import (RadialPolynomial, ReducedElement, ReducedIndex,
                    matrix_element_zaxis, mu_coefficient, omega_hat,
                    overlap_polynomial, regime_of, triple_bessel_nonoverlap,
                    triple_bessel_overlap)
-from .errors import (LaplaceMultipoleError, NonConvergence, NotDiagonal,
-                     PoleResidueError, PoleWithoutRegularizer, RegimeError,
-                     SingularConfiguration, TailTooLarge, WindowOverflow,
+from .errors import (LaplaceMultipoleError, NotDiagonal, PoleResidueError,
+                     RegimeError, SingularConfiguration, TailTooLarge,
                      ZeroWaveVector)
-from .laurent import (LaurentValue, RegularizedArgument, gamma_laurent,
-                      reciprocal_gamma_laurent)
 from .oracles import (QuadratureSpec, defining_integral_quadrature,
                       hankel_forward, hankel_inverse, hankel_triple_bessel)
 from .specfun import (EulerAngles, MultipoleIndex, ThreeJValue,
@@ -28,17 +25,15 @@ __all__ = [
     "__version__",
     "MultipoleIndex", "EulerAngles", "ThreeJValue", "ReducedIndex",
     "SphereGeometry", "ReducedElement", "RadialPolynomial",
-    "LaurentValue", "RegularizedArgument", "QuadratureSpec",
+    "QuadratureSpec",
     "wigner_3j", "wigner_3j_float", "wigner_small_d",
     "wigner_D", "spherical_harmonic", "spherical_bessel_j",
-    "gamma_laurent", "reciprocal_gamma_laurent",
     "mu_coefficient", "triple_bessel_nonoverlap", "triple_bessel_overlap",
     "regime_of", "g_reduced", "overlap_polynomial", "j_basis_from_canonical",
     "canonical_from_j_basis", "matrix_element_zaxis", "matrix_element",
     "omega_hat", "fourier_matrix_element", "g_tilde",
     "defining_integral_quadrature", "hankel_triple_bessel",
     "hankel_forward", "hankel_inverse",
-    "LaplaceMultipoleError", "PoleWithoutRegularizer", "WindowOverflow",
-    "NonConvergence", "PoleResidueError", "RegimeError", "ZeroWaveVector",
-    "NotDiagonal", "SingularConfiguration", "TailTooLarge",
+    "LaplaceMultipoleError", "PoleResidueError", "RegimeError",
+    "ZeroWaveVector", "NotDiagonal", "SingularConfiguration", "TailTooLarge",
 ]

@@ -5,13 +5,13 @@ non-overlap (R >= 2a, power law) and overlap (R <= 2a, polynomial) regimes,
 the canonical <-> j-basis transforms, Fourier-space elements, and
 general-orientation elements assembled through Wigner rotations.
 
-The overlap regime is a polynomial of degree l+l'+1 in rho = R/a, the
-finite part of a three-term regularized 4F3 assembly in Laurent arithmetic
-with the shift eps attached to the reduced index j.  Term k of each series
-lands on one power of rho, and terms past the degree are O(eps), so each
-(l, l', j) is built once from finitely many terms, power by power, with the
-negative orders checked to cancel at every power (compare the finite closed
-forms of Mehrem, Londergan & Macfarlane, J. Phys. A 24 (1991) 1435).
+The overlap regime is a polynomial of degree l+l'+1 in rho = R/a.  Each
+spherical Bessel function is a finite sum of x^-p e^(+-ix) with rational
+weights, so the triple-Bessel integral is a finite sum of regularized
+elementary integrals; each (l, l', j) is built once, exactly in integers,
+with the cancellation of every divergent and logarithmic part checked
+(compare the finite closed forms of Mehrem, Londergan & Macfarlane,
+J. Phys. A 24 (1991) 1435).
 """
 from __future__ import annotations
 
@@ -19,12 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
-
 from .errors import (NotDiagonal, PoleResidueError, RegimeError,
                      ZeroWaveVector)
-from .laurent import (_DPS, LaurentValue, RegularizedArgument, gamma_laurent,
-                      reciprocal_gamma_laurent)
 from .specfun import (MultipoleIndex, _check_integer_orders,
                       spherical_bessel_j, spherical_harmonic, wigner_3j,
                       wigner_3j_float)
@@ -96,9 +92,9 @@ class RadialPolynomial:
     scale carries the dimensional factor a^(l+l'+1); coefficients are
     dimensionless.  The trailing coefficient is nonzero unless the
     polynomial is identically zero.  residue is the pole-cancellation
-    residue of the build: the largest negative-order Laurent coefficient
-    left at any power, relative to that power's finite part (the build
-    fails above 1e-8).
+    residue of the build, always exactly 0.0: the build cancels the
+    divergent and logarithmic parts in integers and raises PoleResidueError
+    when any part is left.
     """
 
     degree: int
@@ -152,137 +148,87 @@ def triple_bessel_nonoverlap(idx: ReducedIndex, R: float, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# triple-Bessel integral, overlap regime (regularized 4F3 assembly)
+# triple-Bessel integral, overlap regime (exact elementary build)
 # ---------------------------------------------------------------------------
 
-_RESIDUE_TOL = 1e-8
+def _bessel_terms(n: int) -> list:
+    """Terms (s, k, A) of j_n(x) = sum A / 2^(k+1) * i^(n+1+k) x^-(k+1)
+    e^(isx), with integer A (DLMF 10.49.1 through h_n^(1,2))."""
+    return [(s, k, (-1) ** (n + 1) * s ** (n + 1 + k) * math.factorial(n + k)
+             // (math.factorial(k) * math.factorial(n - k)))
+            for s in (1, -1) for k in range(n + 1)]
 
 
-def _series_parameters(l: int, lp: int, j: int):
-    """Upper and lower 4F3 parameters of the three series, eps attached to j."""
-    A = RegularizedArgument
-    half = 0.5
-    return [
-        ([A((-l - lp) / 2), A((1 + l - lp) / 2), A((1 - l + lp) / 2),
-          A((2 + l + lp) / 2)],
-         [A(half), A((3 - j) / 2, -half), A((4 + j) / 2, half)]),
-        ([A((j - l - lp - 1) / 2, half), A((j + l - lp) / 2, half),
-          A((j + lp - l) / 2, half), A((l + lp + j + 1) / 2, half)],
-         [A((1 + j) / 2, half), A(j / 2, half), A(1.5 + j, 1.0)]),
-        ([A((1 - l - lp) / 2), A((2 + l - lp) / 2), A((2 + lp - l) / 2),
-          A((3 + l + lp) / 2)],
-         [A(1.5), A((4 - j) / 2, -half), A((5 + j) / 2, half)]),
-    ]
-
-
-# coefficient Laurents; constants corrected against the independent
-# Hankel quadrature oracle (see tests)
-def _coef_alpha(l: int, lp: int, j: int) -> LaurentValue:
-    A = RegularizedArgument
-    out = gamma_laurent(A((j - 1) / 2, 0.5))
-    out = out * reciprocal_gamma_laurent(A((1 + lp - l) / 2))
-    out = out * reciprocal_gamma_laurent(A((1 + l - lp) / 2))
-    out = out * reciprocal_gamma_laurent(A((j + 4) / 2, 0.5))
-    return out * mpmath.mpf(2) ** -3
-
-
-def _coef_beta(l: int, lp: int, j: int) -> LaurentValue:
-    A = RegularizedArgument
-    out = gamma_laurent(A(1 - j, -1.0))
-    out = out * gamma_laurent(A((1 + l + lp + j) / 2, 0.5))
-    out = out * reciprocal_gamma_laurent(A((3 + l + lp - j) / 2, -0.5))
-    out = out * reciprocal_gamma_laurent(A((2 + lp - l - j) / 2, -0.5))
-    out = out * reciprocal_gamma_laurent(A((2 + l - lp - j) / 2, -0.5))
-    out = out * reciprocal_gamma_laurent(A(1.5 + j, 1.0))
-    return out * mpmath.mpf(2) ** -2
-
-
-def _coef_gamma(l: int, lp: int, j: int) -> LaurentValue:
-    A = RegularizedArgument
-    out = gamma_laurent(A((j - 2) / 2, 0.5))
-    out = out * reciprocal_gamma_laurent(A((lp - l) / 2))
-    out = out * reciprocal_gamma_laurent(A((l - lp) / 2))
-    out = out * reciprocal_gamma_laurent(A((5 + j) / 2, 0.5))
-    return out * (mpmath.mpf(2) ** -4 * (l + lp + 1))
-
-
-def _overlap_terms(l: int, lp: int, j: int, top: int) -> list:
-    """Terms (i, n, Laurent) of the three 4F3 series whose power n of
-    rho = R/a is at most top; the integral is pi^1.5 / (2a) times the sum of
-    Laurent * rho^n over all terms.
-
-    With x = rho^2 / 4, term k carries 4^-k and lands on rho^(2k+1)
-    (series 1, i = 0), rho^(j+2k) (series 2, i = 1, which also carries
-    rho^eps) or rho^(2k+2) (series 3, i = 2, subtracted).
-    """
-    first = (1, j, 2)
-    sign = (1, 1, -1)
-    out = []
-    with mpmath.workdps(_DPS):
-        coefs = [_coef_alpha(l, lp, j), _coef_beta(l, lp, j),
-                 _coef_gamma(l, lp, j)]
-        one = LaurentValue.constant(mpmath.mpf(1))
-        for i, (ups, downs) in enumerate(_series_parameters(l, lp, j)):
-            coef = coefs[i]
-            num, den, kfact = one, one, mpmath.mpf(1)
-            k = 0
-            while first[i] + 2 * k <= top:
-                if k == 0:
-                    term = coef
-                else:
-                    for p in ups:
-                        num = num * LaurentValue.linear(
-                            mpmath.mpf(p.base) + (k - 1), mpmath.mpf(p.slope))
-                    for p in downs:
-                        den = den * LaurentValue.linear(
-                            mpmath.mpf(p.base) + (k - 1), mpmath.mpf(p.slope))
-                    kfact *= k
-                    if num.is_zero() or coef.is_zero():
-                        term = LaurentValue.zero()
-                    else:
-                        term = coef * num * den.reciprocal() * (1 / kfact)
-                out.append((i, first[i] + 2 * k,
-                            term * (sign[i] * mpmath.mpf(4) ** -k)))
-                k += 1
-    return out
+def _expand(rows: list, c0: int, c1: int) -> list:
+    """sum_n rows[n] (c0 + c1 rho)^n by Horner; a row lists powers of rho."""
+    acc = [0] * len(rows[0])
+    for row in reversed(rows):
+        acc = [c0 * x + c1 * y + r for x, y, r in zip(acc, [0] + acc, row)]
+    return acc
 
 
 @lru_cache(maxsize=None)
 def _overlap_assembly(l: int, lp: int, j: int) -> tuple:
-    """Assemble the overlap polynomial of degree l+l'+1 from the finitely
-    many series terms that reach it, checking pole cancellation per power.
-    Returns the coefficients (the finite part of each power's Laurent sum
-    times pi^1.5 / 2) and the largest relative residue of any power.
+    """The overlap polynomial of int_0^inf j_j(k rho) j_l(k) j_l'(k) dk, built
+    exactly in integers: the float coefficients c_p of rho^p, the residue
+    (exactly 0.0) and the integers N_p, Q with c_p = pi N_p / Q.
 
-    Only even l+l'+j has one: for odd l+l'+j the series-2 terms have poles,
-    so rho^eps leaves ln(R/a) terms, and mu = 0 makes g_reduced vanish.
+    The integrand is a finite sum of A rho^-(k1+1) k^-(n+1) e^(ikc) with
+    c = s1 rho + d and n = k1+k2+k3+2.  With k^eps attached to every term,
+    int k^(s-1) e^(ikc) dk = Gamma(s) e^(i pi s sigma/2) |c|^-s (Gradshteyn &
+    Ryzhik 3.761) has the finite part (-1)^n/n! (-i sigma)^n (sigma c)^n
+    (1/eps + H_n - gamma - ln|c| + i pi sigma/2) at s = -n, sigma = sign c
+    being fixed for 0 < rho < 2.  For even l+l'+j each term's phase is
+    i (-1)^((l+l'+j)/2) times a sign, so the 1/eps, gamma, H_n and ln|c|
+    parts are imaginary and must cancel: in each log group |c| = rho, 2 + rho,
+    2 - rho and in the H_n sum.  The element is the i pi sigma/2 part, with no
+    power of rho outside 0..l+l'+1 (PoleResidueError otherwise).
+    Odd l+l'+j raises ValueError: there mu = 0 makes g_reduced vanish.
     """
     if (l + lp + j) % 2:
-        raise ValueError(
-            f"overlap polynomial defined for even l+l'+j only, got "
-            f"(l={l}, l'={lp}, j={j})")
-    degree = l + lp + 1
-    sums = [LaurentValue.zero()] * (degree + 1)
-    with mpmath.workdps(_DPS):
-        for series, n, term in _overlap_terms(l, lp, j, degree):
-            # a pole in a series-2 term would leave ln(rho) at eps^0
-            # through rho^eps
-            if series == 1 and any(c != 0 for p, c in term.items() if p < 0):
-                raise PoleResidueError(
-                    f"series-2 term of rho^{n} for (l={l}, l'={lp}, j={j}) "
-                    f"has a pole")
-            sums[n] = sums[n] + term
-        coefficients = []
-        worst = 0.0
-        for n, total in enumerate(sums):
-            residue = total.negative_order_residue()
-            if residue > _RESIDUE_TOL:
-                raise PoleResidueError(
-                    f"pole cancellation failed for (l={l}, l'={lp}, j={j}) at "
-                    f"rho^{n}: relative residue {residue:.3e}")
-            worst = max(worst, residue)
-            coefficients.append(_SQRT_PI3 / 2 * float(total.coefficient(0)))
-    return tuple(coefficients), worst
+        raise ValueError(f"overlap polynomial defined for even l+l'+j only, "
+                         f"got (l={l}, l'={lp}, j={j})")
+    degree, top, low = l + lp + 1, l + lp + j + 2, j + 1
+    size = low + top  # index i holds rho^(i - low), up to rho^-1 (sigma c)^top
+    pair = {}
+    for s2, k2, a2 in _bessel_terms(l):
+        for s3, k3, a3 in _bessel_terms(lp):
+            pair[s2 + s3, k2 + k3] = pair.get((s2 + s3, k2 + k3), 0) + a2 * a3
+    # scaled to the common denominator 2^(top+1) top!
+    fact = math.factorial(top)
+    scale = [2 ** (top - n) * (fact // math.factorial(n)) for n in range(top + 1)]
+    harmonic = [sum(fact // i for i in range(1, n + 1)) for n in range(top + 1)]
+    # per log group sigma c = c0 + c1 rho: weights of rho^-(k1+1) (sigma c)^n,
+    # plain, times top! H_n and times sigma
+    groups = {key: [[[0] * size for _ in range(top + 1)] for _ in range(3)]
+              for key in ((0, 1), (2, 1), (2, -1))}
+    for s1, k1, a1 in _bessel_terms(j):
+        for (d, k23), w in pair.items():
+            sigma = s1 if d == 0 else (1 if d > 0 else -1)
+            n = k1 + k23 + 2
+            v = a1 * w * (-sigma) ** n * scale[n]
+            for rows, x in zip(groups[sigma * d, sigma * s1],
+                               (v, v * harmonic[n], sigma * v)):
+                rows[n][low - k1 - 1] += x
+    harm, pi_part = [0] * size, [0] * size
+    for (c0, c1), rows in groups.items():
+        logs, h, p = (_expand(r, c0, c1) for r in rows)
+        if any(logs):
+            raise PoleResidueError(f"ln|{c0} + {c1} rho| part does not cancel "
+                                   f"for (l={l}, l'={lp}, j={j})")
+        harm = [x + y for x, y in zip(harm, h)]
+        pi_part = [x + y for x, y in zip(pi_part, p)]
+    if any(harm) or any(pi_part[:low]) or any(pi_part[low + degree + 1:]):
+        raise PoleResidueError(
+            f"harmonic-number part or powers of rho outside 0..{degree} do "
+            f"not cancel for (l={l}, l'={lp}, j={j})")
+    sign = 1 if (l + lp + j) // 2 % 2 else -1  # i (-1)^((l+l'+j)/2) i
+    numerators = [sign * x for x in pi_part[low:low + degree + 1]]
+    denominator = 2 ** (top + 2) * fact  # with the 2 of i pi sigma/2
+    g = math.gcd(denominator, *numerators)
+    numerators, denominator = tuple(x // g for x in numerators), denominator // g
+    coefficients = tuple(math.pi * (x / denominator) for x in numerators)
+    return coefficients, 0.0, numerators, denominator
 
 
 def _horner(coefficients, t: float) -> float:
@@ -302,7 +248,7 @@ def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
     """
     if not 0 <= R <= 2 * a:
         raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
-    coefficients, _ = _overlap_assembly(idx.l, idx.lp, idx.j)
+    coefficients = _overlap_assembly(idx.l, idx.lp, idx.j)[0]
     return _horner(coefficients, R / a) / a
 
 
@@ -345,7 +291,7 @@ def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     the assembly's pole-cancellation residue; even l+l'+j only."""
     degree = idx.l + idx.lp + 1
     mu = mu_coefficient(idx)
-    coefficients, residue = _overlap_assembly(idx.l, idx.lp, idx.j)
+    coefficients, residue, _, _ = _overlap_assembly(idx.l, idx.lp, idx.j)
     return RadialPolynomial(degree, tuple(mu * c for c in coefficients),
                             a ** degree, a, residue)
 
@@ -442,6 +388,11 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 # Fourier space
 # ---------------------------------------------------------------------------
 
+def _check_radius(a: float) -> None:
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"sphere radius must be finite and positive, got a={a}")
+
+
 def _khat_angles(kvec):
     kx, ky, kz = (float(c) for c in kvec)
     if not all(map(math.isfinite, (kx, ky, kz))):
@@ -455,6 +406,7 @@ def _khat_angles(kvec):
 def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
     """Fourier transform of the surface multipole density:
     4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
+    _check_radius(a)
     k, theta, phi = _khat_angles(kvec)
     l = lm.l
     if k == 0.0:
@@ -468,6 +420,7 @@ def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
                            kvec, a: float) -> complex:
     """Fourier-space element (4pi)^2 (-i)^(-l+l') a^(l+l'+2)
     j_l(ka) j_l'(ka) / k^2 * conj(Y_lm(khat)) Y_l'm'(khat)."""
+    _check_radius(a)
     k, theta, phi = _khat_angles(kvec)
     if k == 0.0:
         raise ZeroWaveVector("Fourier element diverges as 1/k^2 at k = 0")
@@ -483,6 +436,7 @@ def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
     """Fourier-space reduced element
     4 pi (-i)^(-l+l') (2j+1) sqrt((2l+1)(2l'+1)) a^(l+l'+2) (l l' j;000)
     j_l(ka) j_l'(ka) / k^2."""
+    _check_radius(a)
     if not math.isfinite(k):
         raise ValueError(f"wave number must be finite, got k={k}")
     if k <= 0.0:

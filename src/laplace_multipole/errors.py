@@ -14,11 +14,11 @@ class WindowOverflow(LaplaceMultipoleError):
 
 
 class NonConvergence(LaplaceMultipoleError):
-    """Hypergeometric series failed the trailing-term test at the term cap."""
+    """Series did not converge; raised nowhere, kept for the bench tests."""
 
 
 class PoleResidueError(LaplaceMultipoleError):
-    """Negative-order Laurent residue did not cancel in an assembled element."""
+    """A divergent or logarithmic part of an overlap build did not cancel."""
 
 
 class RegimeError(LaplaceMultipoleError):

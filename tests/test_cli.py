@@ -99,10 +99,11 @@ def test_exit_code_nonfinite_input(capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
-    for k in ("nan,0,1", "0,0,inf"):
+    for k, radius in (("nan,0,1", "1"), ("0,0,inf", "1"), ("0,0,1", "nan"),
+                      ("0,0,1", "inf")):
         code, out, err = run(capsys, "fourier", "--l", "0", "--m", "0",
                              "--lp", "0", "--mp", "0", "--k", k,
-                             "--radius", "1")
+                             "--radius", radius)
         assert code == 2
         assert out == ""
         assert "finite" in err

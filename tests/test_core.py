@@ -1,16 +1,18 @@
 """Tests for the reduced-element closed forms and basis conversions."""
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laplace_multipole import core
 from laplace_multipole.core import (
     ReducedIndex,
     SphereGeometry,
-    _overlap_terms,
+    _overlap_assembly,
     canonical_from_j_basis,
     fourier_matrix_element,
     g_reduced,
@@ -27,6 +29,7 @@ from laplace_multipole.core import (
 )
 from laplace_multipole.errors import (
     NotDiagonal,
+    PoleResidueError,
     RegimeError,
     ZeroWaveVector,
 )
@@ -207,19 +210,43 @@ def test_overlap_finite_up_to_contact():
         assert abs(got - want) / max(abs(want), 1e-2) <= 1e-10
 
 
-def test_overlap_series_terms_vanish_past_degree():
-    # the finite assembly stops at power l+l'+1; every term beyond it is
-    # O(eps) exactly, and no series-2 term (the one carrying rho^eps) has a
-    # pole, so truncating changes neither the finite part nor the residues
-    for idx in _admissible(4):
-        degree = idx.l + idx.lp + 1
-        terms = _overlap_terms(idx.l, idx.lp, idx.j, degree + 6)
-        assert max(n for _, n, _ in terms) > degree
-        for series, n, term in terms:
-            if series == 1:
-                assert all(c == 0 for p, c in term.items() if p < 0), (idx, n)
-            if n > degree:
-                assert all(c == 0 for p, c in term.items() if p <= 0), (idx, n)
+def _half_gamma(n):
+    # Gamma(n + 1/2) / sqrt(pi) = (2n)! / (4^n n!)
+    return Fraction(math.factorial(2 * n), 4 ** n * math.factorial(n))
+
+
+def test_overlap_polynomial_exact_identities():
+    # the exact build gives c_p = pi N_p / Q; check it in rationals at R = 2a
+    for idx in _admissible(8):
+        l, lp, j = idx.l, idx.lp, idx.j
+        _, residue, numerators, denominator = _overlap_assembly(l, lp, j)
+        assert residue == 0.0
+        assert len(numerators) == l + lp + 2 and numerators[-1] != 0, idx
+        contact = Fraction(sum(n * 2 ** p for p, n in enumerate(numerators)),
+                           denominator)
+        if j < l + lp:
+            assert contact == 0, idx
+        else:
+            # power law pi^1.5/(8a) (a/R)^(l+l'+1) Gamma(l+l'+1/2)
+            # / (Gamma(l+3/2) Gamma(l'+3/2)) at R = 2a, over pi
+            want = (Fraction(1, 2 ** (l + lp + 4)) * _half_gamma(l + lp)
+                    / (_half_gamma(l + 1) * _half_gamma(lp + 1)))
+            assert contact == want, idx
+    goldens = {(1, 1, 0): ((16, -12, 0, 1), 96),
+               (2, 3, 3): ((0, 0, 16, 0, -8, 0, 1), 1024)}
+    for (l, lp, j), (numerators, denominator) in goldens.items():
+        _, _, got, q = _overlap_assembly(l, lp, j)
+        assert [Fraction(n, q) for n in got] == \
+            [Fraction(n, denominator) for n in numerators]
+
+
+def test_overlap_build_rejects_uncancelled_parts(monkeypatch):
+    # a Bessel expansion missing its last term leaves logarithms behind
+    terms = core._bessel_terms
+    monkeypatch.setattr(core, "_bessel_terms", lambda n: terms(n)[:-1])
+    for l, lp, j in [(0, 0, 0), (1, 1, 0), (2, 3, 3)]:
+        with pytest.raises(PoleResidueError):
+            _overlap_assembly.__wrapped__(l, lp, j)
 
 
 def test_exchange_symmetry():
@@ -392,6 +419,15 @@ def test_g_tilde_values_and_validation():
             omega_hat(lm, kvec, a)
         with pytest.raises(ValueError):
             fourier_matrix_element(lm, lm, kvec, a)
+    # so are non-finite and non-positive radii, also at k = 0
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            g_tilde(ReducedIndex(0, 0, 0), k, bad)
+        for kvec in ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                omega_hat(lm, kvec, bad)
+        with pytest.raises(ValueError):
+            fourier_matrix_element(lm, lm, (0.0, 0.0, 1.0), bad)
 
 
 def test_g_tilde_real_up_to_phase():
