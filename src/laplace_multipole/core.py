@@ -15,6 +15,7 @@ J. Phys. A 24 (1991) 1435).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,8 +23,8 @@ from functools import lru_cache
 from .errors import (NotDiagonal, PoleResidueError, RegimeError,
                      ZeroWaveVector)
 from .specfun import (MultipoleIndex, _check_integer_orders,
-                      spherical_bessel_j, spherical_harmonic, wigner_3j,
-                      wigner_3j_float)
+                      _legendre_column, spherical_bessel_j,
+                      spherical_harmonic, wigner_3j, wigner_3j_float)
 
 _SQRT_PI3 = math.pi ** 1.5
 
@@ -355,6 +356,28 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
     return complex((-1) ** m * acc)
 
 
+@lru_cache(maxsize=None)
+def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
+    """What matrix_element needs of the channel pair (l m, l' m') apart from
+    R and the direction: per surviving j, (j, weight, coefficients) with the
+    folded weight (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu and
+    the overlap polynomial in R/a; and the stretched (j = l+l') weight times
+    its triple-Bessel integral at contact for a = 1, which the power law
+    scales by (2a/R)^(l+l'+1)."""
+    m1 = mp - m
+    terms, contact = [], 0.0
+    for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
+        idx = ReducedIndex(l, lp, j)
+        weight = ((-1) ** mp * math.sqrt(4 * math.pi / (2 * j + 1))
+                  * wigner_3j_float(j, l, lp, m1, m, -mp) * mu_coefficient(idx))
+        if weight == 0.0:
+            continue
+        terms.append((j, weight, _overlap_assembly(l, lp, j)[0]))
+        if j == l + lp:
+            contact = weight * triple_bessel_nonoverlap(idx, 2.0, 1.0)
+    return tuple(terms), contact
+
+
 def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
                    geom: SphereGeometry) -> complex:
     """General-orientation element.  The plane-wave expansion of the
@@ -364,24 +387,24 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
         G = sum_j (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m')
             g^j(R) Y_{j, m'-m}(theta, phi),
 
-    which collapses to the m-diagonal z-axis form at theta = 0."""
-    l, m = lm.l, lm.m
-    lp, mp = lpmp.l, lpmp.m
-    m1 = mp - m
-    acc = 0.0 + 0.0j
-    for j in range(abs(l - lp), l + lp + 1):
-        if abs(m1) > j:
-            continue
-        tj = wigner_3j_float(j, l, lp, m1, m, -mp)
-        if tj == 0.0:
-            continue
-        gj = g_reduced(ReducedIndex(l, lp, j), geom.R, geom.a).value
-        if gj == 0.0:
-            continue
-        acc += ((-1) ** mp * math.sqrt(4 * math.pi / (2 * j + 1)) * tj * gj
-                * spherical_harmonic(MultipoleIndex(j, m1),
-                                     geom.theta, geom.phi))
-    return acc
+    which collapses to the m-diagonal z-axis form at theta = 0.  Everything
+    but R and the direction comes from the cached per-channel plan
+    (_channel_plan); a call evaluates one polynomial per j in the overlap
+    regime, or the stretched power law from R = 2a on, and one Legendre
+    column, since every term shares m'-m."""
+    l, lp, m1 = lm.l, lpmp.l, lpmp.m - lm.m
+    terms, contact = _channel_plan(l, lm.m, lp, lpmp.m)
+    if not terms:
+        return 0.0 + 0.0j
+    R, a, degree = geom.R, geom.a, l + lp + 1
+    column = _legendre_column(m1, l + lp, geom.theta)
+    if regime_of(R, a) == "overlap":
+        rho, acc = R / a, 0.0
+        for j, weight, coefficients in terms:
+            acc += weight * _horner(coefficients, rho) * column[j - abs(m1)]
+    else:
+        acc = contact * (2 * a / R) ** degree * column[-1]
+    return a ** degree * acc * cmath.exp(1j * m1 * geom.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +433,7 @@ def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
     k, theta, phi = _khat_angles(kvec)
     l = lm.l
     if k == 0.0:
-        return math.sqrt(4 * math.pi) * a if l == 0 else 0.0 + 0.0j
+        return complex(math.sqrt(4 * math.pi) * a) if l == 0 else 0.0 + 0.0j
     return (4 * math.pi * a ** (l + 1) * (-1j) ** l
             * spherical_bessel_j(l, k * a)
             * spherical_harmonic(lm, theta, phi))

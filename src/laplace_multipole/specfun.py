@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from scipy.special import sph_harm_y
-
 
 def _check_integer_orders(*orders) -> None:
     """ValueError unless every order is an integer (bool excluded; numpy
@@ -154,9 +152,41 @@ def wigner_D(l: int, m: int, mp: int, angles: EulerAngles) -> complex:
     return cmath.exp(-1j * m * angles.alpha) * d * cmath.exp(-1j * mp * angles.gamma)
 
 
+@cache
+def _legendre_factors(m: int, lmax: int) -> tuple:
+    """Y_{|m|,|m|}(theta, 0) / |sin(theta)|^|m| with the sign of m folded in,
+    and the factors (A_l, B_l) of the upward recurrence
+    Y_l = A_l (cos(theta) Y_{l-1} - B_l Y_{l-2}) for l = |m|+1 .. lmax."""
+    ma = abs(m)
+    seed = 1.0 / math.sqrt(4 * math.pi)
+    for k in range(1, ma + 1):
+        seed *= -math.sqrt((2 * k + 1) / (2 * k))
+    if m < 0 and ma % 2:  # Y_{l,-m} = (-1)^m conj(Y_lm)
+        seed = -seed
+    return seed, tuple(
+        (math.sqrt((4 * l * l - 1) / (l * l - ma * ma)),
+         math.sqrt(((l - 1) ** 2 - ma * ma) / (4 * (l - 1) ** 2 - 1)))
+        for l in range(ma + 1, lmax + 1))
+
+
+def _legendre_column(m: int, lmax: int, theta: float) -> list:
+    """[Y_{l,m}(theta, 0) for l = |m| .. lmax]: orthonormal associated
+    Legendre values with the Condon-Shortley phase, by the upward recurrence
+    in the degree.  sin(theta) enters as |sin(theta)|, as in scipy's
+    sph_harm_y, so any real theta is accepted."""
+    seed, factors = _legendre_factors(m, lmax)
+    x = math.cos(theta)
+    cur, prev = seed * abs(math.sin(theta)) ** abs(m), 0.0
+    column = [cur]
+    for A, B in factors:
+        prev, cur = cur, A * (x * cur - B * prev)
+        column.append(cur)
+    return column
+
+
 def spherical_harmonic(idx: MultipoleIndex, theta: float, phi: float) -> complex:
     """Y_lm(theta, phi), Condon-Shortley phase; Y_lm(0, .) = delta_{m,0} sqrt((2l+1)/4pi)."""
-    return complex(sph_harm_y(idx.l, idx.m, theta, phi))
+    return _legendre_column(idx.m, idx.l, theta)[-1] * cmath.exp(1j * idx.m * phi)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import sph_harm_y
 
 from laplace_multipole import core
 from laplace_multipole.core import (
@@ -33,7 +34,7 @@ from laplace_multipole.errors import (
     RegimeError,
     ZeroWaveVector,
 )
-from laplace_multipole.specfun import MultipoleIndex
+from laplace_multipole.specfun import MultipoleIndex, wigner_3j_float
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +372,43 @@ def test_kernel_conjugate_symmetry():
         assert v == pytest.approx(w.conjugate(), abs=1e-12)
 
 
+def _per_term_block(idx, geom):
+    """The sum over j written out term by term for every pair of channels in
+    idx, from g_reduced, the 3-j symbols and scipy's spherical harmonic."""
+    lmax = max(p.l for p in idx)
+    g = {(l, lp, j): g_reduced(ReducedIndex(l, lp, j), geom.R, geom.a).value
+         for l in range(lmax + 1) for lp in range(lmax + 1)
+         for j in range(abs(l - lp), l + lp + 1)}
+    Y = {(j, m1): complex(sph_harm_y(j, m1, geom.theta, geom.phi))
+         for j in range(2 * lmax + 1) for m1 in range(-j, j + 1)}
+    block = np.zeros((len(idx), len(idx)), dtype=complex)
+    for row, p in enumerate(idx):
+        for col, q in enumerate(idx):
+            l, m, lp, mp = p.l, p.m, q.l, q.m
+            for j in range(max(abs(l - lp), abs(mp - m)), l + lp + 1):
+                block[row, col] += (
+                    (-1) ** mp * math.sqrt(4 * math.pi / (2 * j + 1))
+                    * wigner_3j_float(j, l, lp, mp - m, m, -mp)
+                    * g[l, lp, j] * Y[j, mp - m])
+    return block
+
+
+def test_matrix_element_matches_per_term_sum():
+    lmax = 6
+    idx = [MultipoleIndex(l, m) for l in range(lmax + 1)
+           for m in range(-l, l + 1)]
+    for a in (0.3, 2.5):
+        for rho in (0.0, 0.5, 1.999, 2 * (1 - 1e-12), 2.0, 3.7):
+            for theta in (0.0, math.pi, 1.1, 4.0):
+                geom = SphereGeometry(rho * a, theta, 0.9, a)
+                got = np.array([[matrix_element(p, q, geom) for q in idx]
+                                for p in idx])
+                want = _per_term_block(idx, geom)
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-13 * scale, \
+                    (a, rho, theta)
+
+
 # ---------------------------------------------------------------------------
 # Fourier space
 # ---------------------------------------------------------------------------
@@ -379,6 +417,8 @@ def test_omega_hat_long_wavelength_limit():
     assert omega_hat(MultipoleIndex(0, 0), (0.0, 0.0, 0.0), 2.0) == \
         pytest.approx(math.sqrt(4 * math.pi) * 2.0)
     assert omega_hat(MultipoleIndex(1, 0), (0.0, 0.0, 0.0), 2.0) == 0.0
+    assert type(omega_hat(MultipoleIndex(0, 0), (0.0, 0.0, 0.0), 2.0)) is complex
+    assert type(omega_hat(MultipoleIndex(1, 0), (0.0, 0.0, 0.0), 2.0)) is complex
 
 
 def test_fourier_element_factorizes():

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import sph_harm_y
 
 from laplace_multipole.specfun import (EulerAngles, MultipoleIndex,
                                        spherical_bessel_j, spherical_harmonic,
@@ -230,6 +231,19 @@ def test_harmonic_north_pole():
             v = spherical_harmonic(MultipoleIndex(l, m), 0.0, 0.7)
             want = (math.sqrt((2 * l + 1) / (4 * math.pi)) if m == 0 else 0.0)
             assert v == pytest.approx(want, abs=1e-15)
+
+
+def test_harmonic_matches_scipy():
+    # theta outside [0, pi] pins |sin(theta)|: with plain sin(theta) odd m
+    # would change sign against scipy there
+    thetas = [0.0, math.pi, -0.5, 3.5, 7.0, *np.linspace(0.05, 3.1, 12)]
+    for l in range(17):
+        for m in range(-l, l + 1):
+            for theta in thetas:
+                for phi in (0.0, 0.7, -2.3, 5.9):
+                    got = spherical_harmonic(MultipoleIndex(l, m), theta, phi)
+                    want = complex(sph_harm_y(l, m, theta, phi))
+                    assert abs(got - want) <= 1e-13, (l, m, theta, phi)
 
 
 # ---------------------------------------------------------------------------
