@@ -133,7 +133,7 @@ def _cmd_table(args) -> int:
 def _cmd_fourier(args) -> int:
     lm = MultipoleIndex(args.l, args.m)
     lpmp = MultipoleIndex(args.lp, args.mp)
-    k = math.sqrt(sum(c * c for c in args.k))
+    k = math.hypot(*args.k)
     val = fourier_matrix_element(lm, lpmp, args.k, args.radius)
     if args.debug_omega:
         w1 = omega_hat(lm, args.k, args.radius)
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroWaveVector) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LaplaceMultipoleError as exc:
+    except (LaplaceMultipoleError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,7 +71,7 @@ class SphereGeometry:
     @classmethod
     def from_vector(cls, Rvec, a: float) -> "SphereGeometry":
         x, y, z = (float(c) for c in Rvec)
-        R = math.sqrt(x * x + y * y + z * z)
+        R = math.hypot(x, y, z)
         theta = math.acos(z / R) if R > 0 else 0.0
         phi = math.atan2(y, x)
         return cls(R=R, theta=theta, phi=phi, a=a)
@@ -420,7 +420,7 @@ def _khat_angles(kvec):
     kx, ky, kz = (float(c) for c in kvec)
     if not all(map(math.isfinite, (kx, ky, kz))):
         raise ValueError(f"wave vector must be finite, got {tuple(kvec)}")
-    k = math.sqrt(kx * kx + ky * ky + kz * kz)
+    k = math.hypot(kx, ky, kz)
     if k == 0.0:
         return 0.0, 0.0, 0.0
     return k, math.acos(kz / k), math.atan2(ky, kx)

@@ -5,14 +5,6 @@ class LaplaceMultipoleError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PoleWithoutRegularizer(LaplaceMultipoleError):
-    """Gamma requested at a non-positive integer with no epsilon slope."""
-
-
-class WindowOverflow(LaplaceMultipoleError):
-    """A Laurent coefficient fell below the retained pole window."""
-
-
 class NonConvergence(LaplaceMultipoleError):
     """Series did not converge; raised nowhere, kept for the bench tests."""
 

@@ -90,6 +90,7 @@ def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> ThreeJVal
     exact zero rather than raising, so rectangular index sweeps can rely
     on the zeros.
     """
+    _check_integer_orders(l1, l2, l3, m1, m2, m3)
     if min(l1, l2, l3) < 0:
         raise ValueError("3-j orders must be non-negative")
     if not _selection_rules_ok(l1, l2, l3, m1, m2, m3):
@@ -129,6 +130,7 @@ def wigner_3j_float(l1, l2, l3, m1, m2, m3) -> float:
 
 def wigner_small_d(l: int, m: int, mp: int, beta: float) -> float:
     """Small Wigner matrix d^l_{m,mp}(beta); d^l_{m,mp}(0) = delta_{m,mp}."""
+    _check_integer_orders(l, m, mp)
     if abs(m) > l or abs(mp) > l:
         raise ValueError("require |m|, |mp| <= l")
     f = math.factorial
@@ -238,16 +240,19 @@ def _bessel_miller(l: int, x: float) -> float:
 
 
 def spherical_bessel_j(l: int, x: float) -> float:
-    """Spherical Bessel j_l(x) for x >= 0; j_l(0) = delta_{l,0}.
+    """Spherical Bessel j_l(x) for integer l >= 0 and finite x >= 0;
+    j_l(0) = delta_{l,0}.
 
     Ascending series for x < l/2, downward Miller recurrence for
     intermediate x, plain upward recurrence once x exceeds l (where it
     is stable).  Tested to 1e-13 relative for l <= 30, x <= 1e3.
     """
+    if type(l) is not int:
+        _check_integer_orders(l)
     if l < 0:
         raise ValueError("order must be non-negative")
-    if x < 0:
-        raise ValueError("argument must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"argument must be finite and non-negative, got {x!r}")
     if x == 0.0:
         return 1.0 if l == 0 else 0.0
     if l == 0:

@@ -117,6 +117,31 @@ def test_exit_code_zero_wavevector(capsys):
     assert "error" in err
 
 
+def test_exit_code_extreme_inputs(tmp_path, capsys):
+    # overflow or underflow in the arithmetic is a computation error
+    for argv in (["reduced", "--l", "4", "--lp", "4", "--j", "8",
+                  "--R", "1e300", "--radius", "1e299"],
+                 ["table", "--lmax", "1", "--R-start", "0", "--R-stop", "1",
+                  "--R-count", "2", "--radius", "1e300",
+                  "--out", str(tmp_path / "t.csv")],
+                 ["fourier", "--l", "0", "--m", "0", "--lp", "0", "--mp", "0",
+                  "--k", "1e-200,0,0", "--radius", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("computation error:")
+        assert err.count("\n") == 1
+    # vector norms neither underflow nor overflow
+    for cmd, flag, vec, norm in (("element", "--R", "1e-200,0,1e-200",
+                                  math.sqrt(2) * 1e-200),
+                                 ("fourier", "--k", "1e200,0,0", 1e200)):
+        code, out, _ = run(capsys, cmd, "--l", "1", "--m", "0", "--lp", "1",
+                           "--mp", "0", flag, vec, "--radius", "1")
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[5]) == pytest.approx(norm, rel=1e-15)
+
+
 def test_exit_code_unwritable_output(capsys):
     code, _, err = run(capsys, "table", "--lmax", "0", "--R-start", "1",
                        "--R-stop", "2", "--R-count", "2", "--radius", "1",

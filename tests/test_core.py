@@ -62,6 +62,13 @@ def test_geometry_from_vector():
     assert g.R == pytest.approx(math.sqrt(2))
     assert g.theta == pytest.approx(math.pi / 2)
     assert g.phi == pytest.approx(math.pi / 4)
+    # the norm neither underflows nor overflows
+    g = SphereGeometry.from_vector((1e-200, 0.0, 1e-200), a=1.0)
+    assert g.R == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    assert g.theta == pytest.approx(math.pi / 4)
+    g = SphereGeometry.from_vector((1e200,) * 3, a=1.0)
+    assert g.R == pytest.approx(math.sqrt(3) * 1e200, rel=1e-15)
+    assert g.theta == pytest.approx(math.acos(1 / math.sqrt(3)))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,15 @@ def test_threej_orthogonality_exact():
 # Wigner rotations
 # ---------------------------------------------------------------------------
 
+def test_wigner_rejects_half_integer_orders():
+    for args in [(0.5, 0.5, 1, 0.5, -0.5, 0), (1.5, 1, 0.5, 0.5, 0, -0.5)]:
+        with pytest.raises(ValueError):
+            wigner_3j(*args)
+    for args in [(0.5, 0.5, 0.5), (1.5, 0.5, -0.5)]:
+        with pytest.raises(ValueError):
+            wigner_small_d(*args, 0.3)
+
+
 def test_small_d_identity_and_quarter_turn():
     assert wigner_small_d(1, 0, 0, 0.0) == pytest.approx(1.0)
     assert wigner_small_d(1, 0, 0, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
@@ -257,6 +266,14 @@ def test_bessel_reference_values():
     with mpmath.workdps(40):
         want = float(mpmath.sqrt(mpmath.pi / 2) * mpmath.besselj(2.5, 1.0))
     assert spherical_bessel_j(2, 1.0) == pytest.approx(want, rel=1e-14)
+
+
+def test_bessel_rejects_bad_input():
+    for l, x in [(1.5, 1.0), (True, 1.0), (-1, 1.0), (2, -1.0),
+                 (2, math.inf), (2, math.nan)]:
+        with pytest.raises(ValueError):
+            spherical_bessel_j(l, x)
+    assert spherical_bessel_j(np.int64(2), 1.0) == spherical_bessel_j(2, 1.0)
 
 
 @given(st.integers(0, 20), st.floats(0.1, 100.0, allow_nan=False))
