@@ -1,20 +1,18 @@
 """Multipole matrix elements of the Laplace Green function for two equal
-spheres: closed forms in position space (overlap and non-overlap regimes),
-Fourier space, the rotation-reduced j-basis, and brute-force quadrature
-oracles for validation."""
+spheres: reduced elements g^j_{l,l'}(R) in position space (overlap and
+non-overlap regimes, told apart by regime_of), canonical elements on the
+z axis and in general orientation, Fourier-space elements, and brute-force
+quadrature oracles for validation."""
 
 __version__ = "0.1.0"
 
 from .core import (RadialPolynomial, ReducedElement, ReducedIndex,
-                   SphereGeometry, canonical_from_j_basis,
-                   fourier_matrix_element, g_reduced, g_tilde,
-                   j_basis_from_canonical, matrix_element,
-                   matrix_element_zaxis, mu_coefficient, omega_hat,
-                   overlap_polynomial, regime_of, triple_bessel_nonoverlap,
-                   triple_bessel_overlap)
-from .errors import (LaplaceMultipoleError, NotDiagonal, PoleResidueError,
-                     RegimeError, SingularConfiguration, TailTooLarge,
-                     ZeroWaveVector)
+                   SphereGeometry, fourier_matrix_element, g_reduced, g_tilde,
+                   matrix_element, matrix_element_zaxis, mu_coefficient,
+                   omega_hat, overlap_polynomial, regime_of,
+                   triple_bessel_nonoverlap, triple_bessel_overlap)
+from .errors import (LaplaceMultipoleError, PoleResidueError, RegimeError,
+                     SingularConfiguration, TailTooLarge, ZeroWaveVector)
 from .oracles import (QuadratureSpec, defining_integral_quadrature,
                       hankel_forward, hankel_inverse, hankel_triple_bessel)
 from .specfun import (EulerAngles, MultipoleIndex, ThreeJValue,
@@ -29,11 +27,10 @@ __all__ = [
     "wigner_3j", "wigner_3j_float", "wigner_small_d",
     "wigner_D", "spherical_harmonic", "spherical_bessel_j",
     "mu_coefficient", "triple_bessel_nonoverlap", "triple_bessel_overlap",
-    "regime_of", "g_reduced", "overlap_polynomial", "j_basis_from_canonical",
-    "canonical_from_j_basis", "matrix_element_zaxis", "matrix_element",
-    "omega_hat", "fourier_matrix_element", "g_tilde",
+    "regime_of", "g_reduced", "overlap_polynomial", "matrix_element_zaxis",
+    "matrix_element", "omega_hat", "fourier_matrix_element", "g_tilde",
     "defining_integral_quadrature", "hankel_triple_bessel",
     "hankel_forward", "hankel_inverse",
     "LaplaceMultipoleError", "PoleResidueError", "RegimeError",
-    "ZeroWaveVector", "NotDiagonal", "SingularConfiguration", "TailTooLarge",
+    "ZeroWaveVector", "SingularConfiguration", "TailTooLarge",
 ]

@@ -205,26 +205,23 @@ def _check_rotation(lmax: int, seed: int):
     for _ in range(5):
         theta = rng.uniform(0.1, math.pi - 0.1)
         phi = rng.uniform(0.0, 2 * math.pi)
+        ang = EulerAngles(phi, theta, 0.0)
         for l in range(lcap + 1):
             for lp in range(lcap + 1):
                 for R in (1.2, 3.0):
                     geom = SphereGeometry(R, theta, phi, 1.0)
+                    # independent transport of the nonzero z-axis values
+                    base = {m1: matrix_element_zaxis(
+                        MultipoleIndex(l, m1), MultipoleIndex(lp, m1), R, 1.0)
+                        for m1 in range(-min(l, lp), min(l, lp) + 1)}
                     for m in range(-l, l + 1):
                         for mp in range(-lp, lp + 1):
                             got = matrix_element(MultipoleIndex(l, m),
                                                  MultipoleIndex(lp, mp), geom)
-                            # independent transport of z-axis values
-                            ang = EulerAngles(phi, theta, 0.0)
-                            ref = 0.0 + 0.0j
-                            for m1 in range(-min(l, lp), min(l, lp) + 1):
-                                base = matrix_element_zaxis(
-                                    MultipoleIndex(l, m1),
-                                    MultipoleIndex(lp, m1), R, 1.0)
-                                if base == 0:
-                                    continue
-                                ref += (wigner_D(l, m, m1, ang)
-                                        * wigner_D(lp, mp, m1, ang).conjugate()
-                                        * base)
+                            ref = sum((wigner_D(l, m, m1, ang)
+                                       * wigner_D(lp, mp, m1, ang).conjugate()
+                                       * b for m1, b in base.items() if b != 0),
+                                      0.0 + 0.0j)
                             worst = max(worst, abs(got - ref))
     return worst
 

@@ -2,8 +2,11 @@
 
 Reduced elements g^j_{l,l'}(R) for two spheres of equal radius a, in the
 non-overlap (R >= 2a, power law) and overlap (R <= 2a, polynomial) regimes,
-the canonical <-> j-basis transforms, Fourier-space elements, and
-general-orientation elements assembled through Wigner rotations.
+z-axis and general-orientation canonical elements, and Fourier-space
+elements.  regime_of alone validates (R, a) and picks the regime; each
+(l, l', j) is reduced once (_reduced) to its mu-folded overlap polynomial
+and its power-law value at contact, which every position-space element
+reads.
 
 The overlap regime is a polynomial of degree l+l'+1 in rho = R/a.  Each
 spherical Bessel function is a finite sum of x^-p e^(+-ix) with rational
@@ -20,8 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (NotDiagonal, PoleResidueError, RegimeError,
-                     ZeroWaveVector)
+from .errors import PoleResidueError, RegimeError, ZeroWaveVector
 from .specfun import (MultipoleIndex, _check_integer_orders,
                       _legendre_column, spherical_bessel_j,
                       spherical_harmonic, wigner_3j, wigner_3j_float)
@@ -61,12 +63,9 @@ class SphereGeometry:
     a: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.R, self.theta, self.phi, self.a))):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError(f"geometry must be finite, got {self}")
-        if self.a <= 0:
-            raise ValueError("sphere radius must be positive")
-        if self.R < 0:
-            raise ValueError("separation must be non-negative")
+        regime_of(self.R, self.a)
 
     @classmethod
     def from_vector(cls, Rvec, a: float) -> "SphereGeometry":
@@ -138,7 +137,7 @@ def triple_bessel_nonoverlap(idx: ReducedIndex, R: float, a: float) -> float:
 
     Vanishes unless j = l + l'; otherwise a pure (a/R)^(l+l'+1) power law.
     """
-    if R < 2 * a:
+    if regime_of(R, a) == "overlap":
         raise RegimeError(f"non-overlap branch needs R >= 2a, got R={R}, a={a}")
     l, lp, j = idx.l, idx.lp, idx.j
     if j != l + lp:
@@ -247,94 +246,68 @@ def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
     Horner evaluation of the cached polynomial of degree l+l'+1 in R/a,
     whose build raises PoleResidueError when the poles fail to cancel.
     """
-    if not 0 <= R <= 2 * a:
+    if regime_of(R, a) == "nonoverlap":
         raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
     coefficients = _overlap_assembly(idx.l, idx.lp, idx.j)[0]
     return _horner(coefficients, R / a) / a
 
 
 # ---------------------------------------------------------------------------
-# reduced elements and polynomials
+# regime and reduced elements
 # ---------------------------------------------------------------------------
 
 def regime_of(R: float, a: float) -> str:
     """Regime label of separation R for spheres of radius a: overlap
-    (R < 2a), boundary (R = 2a) or nonoverlap; ValueError for non-finite or
-    out-of-range input."""
-    if not (math.isfinite(R) and math.isfinite(a)):
-        raise ValueError(f"separation and radius must be finite, got R={R}, a={a}")
-    if a <= 0:
-        raise ValueError("sphere radius must be positive")
-    if R < 0:
-        raise ValueError("separation must be non-negative")
+    (R < 2a), boundary (R = 2a) or nonoverlap.  The one check of (R, a):
+    ValueError unless a is finite and positive and R finite and
+    non-negative."""
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"sphere radius must be finite and positive, got a={a}")
+    if not (math.isfinite(R) and R >= 0):
+        raise ValueError(f"separation must be finite and non-negative, got R={R}")
     if R < 2 * a:
         return "overlap"
     return "boundary" if R == 2 * a else "nonoverlap"
 
 
-def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
-    """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral."""
-    regime = regime_of(R, a)
+@lru_cache(maxsize=None)
+def _reduced(l: int, lp: int, j: int) -> tuple:
+    """g^j_{l,l'} for a = 1, built once: the mu-folded overlap coefficients
+    mu c_p of rho^p, and mu times the triple-Bessel integral at contact
+    R = 2, which the power law scales by (2a/R)^(l+l'+1).  Both vanish
+    (no coefficients, 0.0) where mu does, for odd l+l'+j."""
+    idx = ReducedIndex(l, lp, j)
     mu = mu_coefficient(idx)
     if mu == 0.0:
-        return ReducedElement(idx, R, a, 0.0, regime)
+        return (), 0.0
+    coefficients = _overlap_assembly(l, lp, j)[0]
+    return (tuple(mu * c for c in coefficients),
+            mu * triple_bessel_nonoverlap(idx, 2.0, 1.0))
+
+
+def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
+    """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral,
+    from the per-(l, l', j) record: a polynomial in R/a below contact, the
+    stretched power law from R = 2a on."""
+    regime = regime_of(R, a)
+    coefficients, contact = _reduced(idx.l, idx.lp, idx.j)
+    degree = idx.l + idx.lp + 1
     if regime == "overlap":
-        integral = triple_bessel_overlap(idx, R, a)
+        value = _horner(coefficients, R / a)
     else:
-        integral = triple_bessel_nonoverlap(idx, R, a)
-    value = mu * a ** (idx.l + idx.lp + 2) * integral
-    return ReducedElement(idx, R, a, value, regime)
+        value = contact * (2 * a / R) ** degree
+    return ReducedElement(idx, R, a, a ** degree * value, regime)
 
 
 def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     """Exact polynomial representation of the overlap-regime reduced element:
-    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, from the cached assembly, with
+    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, from the cached record, with
     the assembly's pole-cancellation residue; even l+l'+j only."""
+    regime_of(0.0, a)
     degree = idx.l + idx.lp + 1
-    mu = mu_coefficient(idx)
-    coefficients, residue, _, _ = _overlap_assembly(idx.l, idx.lp, idx.j)
-    return RadialPolynomial(degree, tuple(mu * c for c in coefficients),
+    residue = _overlap_assembly(idx.l, idx.lp, idx.j)[1]
+    return RadialPolynomial(degree, _reduced(idx.l, idx.lp, idx.j)[0],
                             a ** degree, a, residue)
-
-
-# ---------------------------------------------------------------------------
-# basis transforms
-# ---------------------------------------------------------------------------
-
-_DIAG_TOL = 1e-10
-
-
-def j_basis_from_canonical(l: int, lp: int, values) -> dict:
-    """g^j = (2j+1) sum_m (-1)^m (l l' j; m -m 0) G_{lm,l'm} from a
-    mapping (m, mp) -> complex of z-axis canonical elements."""
-    scale = max((abs(v) for v in values.values()), default=0.0)
-    for (m, mp), v in values.items():
-        if m != mp and abs(v) > _DIAG_TOL * max(scale, 1e-300):
-            raise NotDiagonal(
-                f"entry (m={m}, m'={mp}) is {abs(v):.3e}, expected m-diagonal")
-    out = {}
-    for j in range(abs(l - lp), l + lp + 1):
-        acc = 0.0
-        for m in range(-min(l, lp), min(l, lp) + 1):
-            g = values.get((m, m), 0.0)
-            acc += (-1) ** m * wigner_3j_float(l, lp, j, m, -m, 0) * complex(g).real
-        out[j] = (2 * j + 1) * acc
-    return out
-
-
-def canonical_from_j_basis(l: int, lp: int, g) -> dict:
-    """G_{lm,l'm'}(R e_z) = delta_{m,m'} (-1)^m sum_j (l l' j; m -m 0) g^j."""
-    out = {}
-    for m in range(-l, l + 1):
-        for mp in range(-lp, lp + 1):
-            if m != mp:
-                out[(m, mp)] = 0.0 + 0.0j
-                continue
-            acc = 0.0
-            for j, gj in g.items():
-                acc += wigner_3j_float(l, lp, j, m, -m, 0) * gj
-            out[(m, mp)] = complex((-1) ** m * acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +333,20 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
 def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
     R and the direction: per surviving j, (j, weight, coefficients) with the
-    folded weight (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu and
-    the overlap polynomial in R/a; and the stretched (j = l+l') weight times
-    its triple-Bessel integral at contact for a = 1, which the power law
-    scales by (2a/R)^(l+l'+1)."""
+    weight (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') and the
+    mu-folded overlap polynomial in R/a of _reduced; and the stretched
+    (j = l+l') weight times its contact value for a = 1, which the power
+    law scales by (2a/R)^(l+l'+1)."""
     m1 = mp - m
     terms, contact = [], 0.0
     for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
-        idx = ReducedIndex(l, lp, j)
+        coefficients, at_contact = _reduced(l, lp, j)
         weight = ((-1) ** mp * math.sqrt(4 * math.pi / (2 * j + 1))
-                  * wigner_3j_float(j, l, lp, m1, m, -mp) * mu_coefficient(idx))
-        if weight == 0.0:
+                  * wigner_3j_float(j, l, lp, m1, m, -mp))
+        if weight == 0.0 or not coefficients:
             continue
-        terms.append((j, weight, _overlap_assembly(l, lp, j)[0]))
-        if j == l + lp:
-            contact = weight * triple_bessel_nonoverlap(idx, 2.0, 1.0)
+        terms.append((j, weight, coefficients))
+        contact += weight * at_contact
     return tuple(terms), contact
 
 
@@ -411,11 +383,6 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 # Fourier space
 # ---------------------------------------------------------------------------
 
-def _check_radius(a: float) -> None:
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"sphere radius must be finite and positive, got a={a}")
-
-
 def _khat_angles(kvec):
     kx, ky, kz = (float(c) for c in kvec)
     if not all(map(math.isfinite, (kx, ky, kz))):
@@ -429,7 +396,7 @@ def _khat_angles(kvec):
 def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
     """Fourier transform of the surface multipole density:
     4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
-    _check_radius(a)
+    regime_of(0.0, a)  # checks the radius
     k, theta, phi = _khat_angles(kvec)
     l = lm.l
     if k == 0.0:
@@ -443,7 +410,7 @@ def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
                            kvec, a: float) -> complex:
     """Fourier-space element (4pi)^2 (-i)^(-l+l') a^(l+l'+2)
     j_l(ka) j_l'(ka) / k^2 * conj(Y_lm(khat)) Y_l'm'(khat)."""
-    _check_radius(a)
+    regime_of(0.0, a)  # checks the radius
     k, theta, phi = _khat_angles(kvec)
     if k == 0.0:
         raise ZeroWaveVector("Fourier element diverges as 1/k^2 at k = 0")
@@ -459,7 +426,7 @@ def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
     """Fourier-space reduced element
     4 pi (-i)^(-l+l') (2j+1) sqrt((2l+1)(2l'+1)) a^(l+l'+2) (l l' j;000)
     j_l(ka) j_l'(ka) / k^2."""
-    _check_radius(a)
+    regime_of(0.0, a)  # checks the radius
     if not math.isfinite(k):
         raise ValueError(f"wave number must be finite, got k={k}")
     if k <= 0.0:

@@ -21,10 +21,6 @@ class ZeroWaveVector(LaplaceMultipoleError):
     """Fourier-space operation at k = 0, where the 1/k^2 kernel diverges."""
 
 
-class NotDiagonal(LaplaceMultipoleError):
-    """Canonical-basis input has m != m' entries above tolerance."""
-
-
 class SingularConfiguration(LaplaceMultipoleError):
     """Surface quadrature could not reach the requested accuracy."""
 

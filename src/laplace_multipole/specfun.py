@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 
 def _check_integer_orders(*orders) -> None:
@@ -82,7 +82,7 @@ def _selection_rules_ok(l1, l2, l3, m1, m2, m3) -> bool:
     return abs(m1) <= l1 and abs(m2) <= l2 and abs(m3) <= l3
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 1.0 and True miss 1's entry
 def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> ThreeJValue:
     """Exact Wigner 3-j symbol via the Racah single-sum formula.
 
@@ -223,7 +223,8 @@ def _bessel_upward(l: int, x: float) -> float:
 
 
 def _bessel_miller(l: int, x: float) -> float:
-    # downward recurrence from a padded start order, normalised by j_0
+    # downward recurrence from a padded start order, normalised by the larger
+    # of j_0 and j_1 (j_0 vanishes at x = n pi)
     nstart = l + 16 + int(1.5 * math.sqrt(max(l, 1)) * 4)
     jp, jc = 0.0, 1e-30
     out = 0.0
@@ -236,7 +237,8 @@ def _bessel_miller(l: int, x: float) -> float:
             jp *= 1e-250
             jc *= 1e-250
             out *= 1e-250
-    return out * (math.sin(x) / x) / jc
+    j0, j1 = math.sin(x) / x, math.sin(x) / (x * x) - math.cos(x) / x
+    return out * j0 / jc if abs(j0) >= abs(j1) else out * j1 / jp
 
 
 def spherical_bessel_j(l: int, x: float) -> float:

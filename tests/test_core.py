@@ -1,12 +1,10 @@
-"""Tests for the reduced-element closed forms and basis conversions."""
+"""Tests for the reduced-element closed forms and the canonical elements."""
 import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
 from laplace_multipole import core
@@ -14,11 +12,9 @@ from laplace_multipole.core import (
     ReducedIndex,
     SphereGeometry,
     _overlap_assembly,
-    canonical_from_j_basis,
     fourier_matrix_element,
     g_reduced,
     g_tilde,
-    j_basis_from_canonical,
     matrix_element,
     matrix_element_zaxis,
     mu_coefficient,
@@ -29,7 +25,6 @@ from laplace_multipole.core import (
     triple_bessel_overlap,
 )
 from laplace_multipole.errors import (
-    NotDiagonal,
     PoleResidueError,
     RegimeError,
     ZeroWaveVector,
@@ -288,12 +283,17 @@ def test_regime_of_labels_and_rejects_nonfinite():
     assert regime_of(2.0, 1.0) == "boundary"
     assert regime_of(2.5, 1.0) == "nonoverlap"
     bad = [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
-           (-1.0, 1.0), (1.0, 0.0)]
+           (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (3.0, -1.0), (3.0, math.inf)]
+    idx = ReducedIndex(0, 0, 0)
     for R, a in bad:
-        with pytest.raises(ValueError):
-            regime_of(R, a)
-        with pytest.raises(ValueError):
-            g_reduced(ReducedIndex(0, 0, 0), R, a)
+        for f in (regime_of, lambda R, a: g_reduced(idx, R, a),
+                  lambda R, a: triple_bessel_overlap(idx, R, a),
+                  lambda R, a: triple_bessel_nonoverlap(idx, R, a)):
+            with pytest.raises(ValueError):
+                f(R, a)
+        if not 0 < a < math.inf:
+            with pytest.raises(ValueError):
+                overlap_polynomial(idx, a)
 
 
 def test_geometry_rejects_nonfinite():
@@ -308,30 +308,8 @@ def test_geometry_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# basis conversions
+# canonical elements
 # ---------------------------------------------------------------------------
-
-jvals = st.floats(min_value=-5, max_value=5, allow_nan=False)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
-       st.data())
-def test_j_basis_round_trip(l, lp, data):
-    gj = {j: data.draw(jvals) for j in range(abs(l - lp), l + lp + 1)}
-    values = canonical_from_j_basis(l, lp, gj)
-    back = j_basis_from_canonical(l, lp, values)
-    for j, v in gj.items():
-        assert complex(back[j]).real == pytest.approx(v, abs=1e-10)
-        assert complex(back[j]).imag == pytest.approx(0.0, abs=1e-12)
-
-
-def test_j_basis_rejects_off_diagonal():
-    values = {(m, mp): (1.0 if m == mp else 0.5)
-              for m in (-1, 0, 1) for mp in (-1, 0, 1)}
-    with pytest.raises(NotDiagonal):
-        j_basis_from_canonical(1, 1, values)
-
 
 def test_zaxis_element_is_m_diagonal_and_real():
     for R in (0.8, 3.0):
@@ -343,17 +321,6 @@ def test_zaxis_element_is_m_diagonal_and_real():
                     assert v == 0.0
                 else:
                     assert v.imag == 0.0
-
-
-def test_zaxis_consistent_with_j_basis():
-    l, lp, R, a = 2, 2, 1.3, 1.0
-    gj = {j: g_reduced(ReducedIndex(l, lp, j), R, a).value
-          for j in range(abs(l - lp), l + lp + 1)}
-    values = canonical_from_j_basis(l, lp, gj)
-    for m in range(-min(l, lp), min(l, lp) + 1):
-        direct = matrix_element_zaxis(MultipoleIndex(l, m),
-                                      MultipoleIndex(lp, m), R, a)
-        assert complex(values[(m, m)]) == pytest.approx(direct, abs=1e-13)
 
 
 def test_general_orientation_reduces_to_zaxis():

@@ -96,6 +96,12 @@ def test_wigner_rejects_half_integer_orders():
     for args in [(0.5, 0.5, 1, 0.5, -0.5, 0), (1.5, 1, 0.5, 0.5, 0, -0.5)]:
         with pytest.raises(ValueError):
             wigner_3j(*args)
+    # a warm cache entry for the integer orders does not answer for a float
+    # or bool spelling of them
+    assert wigner_3j(1, 1, 0, 0, 0, 0)
+    for args in [(1.0, 1, 0, 0, 0, 0), (True, 1, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            wigner_3j(*args)
     for args in [(0.5, 0.5, 0.5), (1.5, 0.5, -0.5)]:
         with pytest.raises(ValueError):
             wigner_small_d(*args, 0.3)
@@ -285,9 +291,12 @@ def test_bessel_recurrence(l, x):
     assert abs(lhs - rhs) / scale < 1e-12
 
 
-@pytest.mark.parametrize("l", [0, 1, 5, 12, 23, 30])
+@pytest.mark.parametrize("l", [0, 1, 5, 10, 12, 23, 30])
 def test_bessel_against_mpmath(l):
-    for x in (1e-3, 0.4, float(l) / 2 + 0.3, float(l) + 2.0, 180.0, 1e3):
+    # the zeros x = k pi of j_0 inside the Miller range l/2 <= x <= l
+    zeros = [k * math.pi for k in range(1, 10) if l / 2 <= k * math.pi <= l]
+    for x in (1e-3, 0.4, float(l) / 2 + 0.3, float(l) + 2.0, 180.0, 1e3,
+              *zeros):
         got = spherical_bessel_j(l, x)
         with mpmath.workdps(40):
             want = float(mpmath.sqrt(mpmath.pi / (2 * x))
