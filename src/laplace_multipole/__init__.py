@@ -2,7 +2,8 @@
 spheres: reduced elements g^j_{l,l'}(R) in position space (overlap and
 non-overlap regimes, told apart by regime_of), canonical elements on the
 z axis and in general orientation, Fourier-space elements, and brute-force
-quadrature oracles for validation."""
+quadrature oracles for validation.  The oracle names load on first use
+(numpy, scipy and mpmath come with them); the rest is standard library."""
 
 __version__ = "0.1.0"
 
@@ -13,8 +14,6 @@ from .core import (RadialPolynomial, ReducedElement, ReducedIndex,
                    triple_bessel_nonoverlap, triple_bessel_overlap)
 from .errors import (LaplaceMultipoleError, PoleResidueError, RegimeError,
                      SingularConfiguration, TailTooLarge, ZeroWaveVector)
-from .oracles import (QuadratureSpec, defining_integral_quadrature,
-                      hankel_forward, hankel_inverse, hankel_triple_bessel)
 from .specfun import (EulerAngles, MultipoleIndex, ThreeJValue,
                       spherical_bessel_j, spherical_harmonic, wigner_3j,
                       wigner_3j_float, wigner_D, wigner_small_d)
@@ -34,3 +33,13 @@ __all__ = [
     "LaplaceMultipoleError", "PoleResidueError", "RegimeError",
     "ZeroWaveVector", "SingularConfiguration", "TailTooLarge",
 ]
+
+_ORACLE_NAMES = ("QuadratureSpec", "defining_integral_quadrature",
+                 "hankel_triple_bessel", "hankel_forward", "hankel_inverse")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

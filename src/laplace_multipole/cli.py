@@ -6,6 +6,9 @@ row order is fixed, and `verify --seed` draws its random rotations from
 a seeded generator so repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 computation/I-O failure, 2 usage or domain error.
+
+Only `verify` needs the quadrature oracles (numpy, scipy, mpmath); its
+checks import them, so the other commands load the standard library alone.
 """
 from __future__ import annotations
 
@@ -22,8 +25,6 @@ from .core import (ReducedIndex, SphereGeometry, g_reduced, g_tilde,
                    matrix_element, matrix_element_zaxis, mu_coefficient,
                    fourier_matrix_element, omega_hat, regime_of)
 from .errors import LaplaceMultipoleError, ZeroWaveVector
-from .oracles import (QuadratureSpec, defining_integral_quadrature,
-                      hankel_forward, hankel_triple_bessel)
 from .specfun import EulerAngles, MultipoleIndex, wigner_D
 
 _CSV_FIELDS = ["l", "m", "lp", "mp", "j", "R", "a", "regime",
@@ -106,6 +107,8 @@ def _admissible_triples(lmax: int):
 
 
 def _cmd_table(args) -> int:
+    if args.lmax < 0:
+        raise ValueError("lmax must be non-negative")
     if args.R_count < 2:
         raise ValueError("R-count must be at least 2")
     grid = [args.R_start + i * (args.R_stop - args.R_start) / (args.R_count - 1)
@@ -167,6 +170,7 @@ def _check_golden():
 
 
 def _check_hankel(lmax: int):
+    from .oracles import QuadratureSpec, hankel_triple_bessel
     spec = QuadratureSpec()
     worst = 0.0
     for (l, lp, j) in _admissible_triples(lmax):
@@ -180,6 +184,7 @@ def _check_hankel(lmax: int):
 
 
 def _check_surface(lmax: int):
+    from .oracles import QuadratureSpec, defining_integral_quadrature
     spec = QuadratureSpec(node_count=10)
     worst = 0.0
     lcap = min(lmax, 2)
@@ -227,6 +232,7 @@ def _check_rotation(lmax: int, seed: int):
 
 
 def _check_fourier():
+    from .oracles import QuadratureSpec, hankel_forward
     spec = QuadratureSpec()
     idx = ReducedIndex(1, 1, 2)
     fw = hankel_forward(idx, 0.7, 1.0,
@@ -236,6 +242,8 @@ def _check_fourier():
 
 
 def _cmd_verify(args) -> int:
+    if args.lmax < 0:
+        raise ValueError("lmax must be non-negative")
     if args.lmax > 4:
         raise ValueError("verify supports lmax <= 4 (oracle runtime budget)")
     checks = [

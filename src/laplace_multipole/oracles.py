@@ -5,7 +5,8 @@ paths: the defining double-surface integral is done by graded
 Gauss-Legendre product quadrature, and the semi-infinite Hankel
 integrals by zero-aligned panels plus analytic oscillatory tails.
 They are slow by design and exist only to earn trust (tests and the
-``verify`` CLI command).
+``verify`` CLI command).  scipy and mpmath are imported by the functions
+that use them, so importing the package does not load them.
 """
 from __future__ import annotations
 
@@ -14,12 +15,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import sph_harm_y, spherical_jn
 
-from .core import ReducedIndex, SphereGeometry
+from .core import ReducedIndex, SphereGeometry, regime_of
 from .errors import SingularConfiguration, TailTooLarge
 from .specfun import MultipoleIndex
 
@@ -82,6 +81,7 @@ def _graded_mesh(lo: float, hi: float, focus: float, n: int, levels: int):
 # ---------------------------------------------------------------------------
 
 def _theta_profile(l: int, m: int, thetas: np.ndarray) -> np.ndarray:
+    from scipy.special import sph_harm_y
     # Y_lm(theta, 0) is real under the Condon-Shortley convention
     return sph_harm_y(l, m, thetas, 0.0).real
 
@@ -178,6 +178,7 @@ def _bessel_trig_terms(n: int, c: float):
 @lru_cache(maxsize=4096)
 def _expint_scaled(p: int, omK: float) -> complex:
     """E_p(-i omK) via mpmath, for the slowly-oscillating cases."""
+    import mpmath
     with mpmath.workdps(30):
         return complex(mpmath.expint(p, mpmath.mpc(0, -omK)))
 
@@ -243,8 +244,8 @@ def hankel_triple_bessel(idx: ReducedIndex, R: float, a: float,
     oscillatory tail from the terminating trigonometric forms of the
     spherical Bessel functions.
     """
-    if R < 0:
-        raise ValueError("separation must be non-negative")
+    from scipy.special import spherical_jn
+    regime_of(R, a)
     if R == 0.0 and idx.j != 0:
         return 0.0  # j_j(0) = 0 kills the integrand
     factors = [(idx.l, a), (idx.lp, a)]
@@ -318,8 +319,10 @@ def hankel_forward(idx: ReducedIndex, k: float, a: float, g_samples,
     The integrand decays only algebraically (g ~ R^-(l+l'+1) beyond
     contact), so the semi-infinite part is summed by panel acceleration.
     """
-    if k <= 0:
-        raise ValueError("wave number must be positive")
+    from scipy.special import spherical_jn
+    regime_of(0.0, a)
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"wave number must be finite and positive, got k={k}")
     j = idx.j
 
     def f(R):
@@ -344,7 +347,9 @@ def hankel_forward(idx: ReducedIndex, k: float, a: float, g_samples,
 def hankel_inverse(idx: ReducedIndex, R: float, a: float, gtilde_samples,
                    spec: QuadratureSpec) -> float:
     """Inverse transform (1/2 pi^2) i^j int_0^inf dk k^2 j_j(kR) gtilde(k)."""
-    if R <= 0:
+    from scipy.special import spherical_jn
+    regime_of(R, a)
+    if R == 0.0:
         raise ValueError("separation must be positive")
     j = idx.j
 

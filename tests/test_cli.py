@@ -200,3 +200,17 @@ def test_verify_rejects_large_lmax(capsys):
     code, _, err = run(capsys, "verify", "--lmax", "9")
     assert code == 2
     assert "lmax" in err
+
+
+def test_negative_lmax_is_a_domain_error(tmp_path, capsys):
+    # an empty index range would write a header-only table and pass verify
+    # having checked nothing
+    out_path = tmp_path / "t.csv"
+    for argv in (["table", "--lmax", "-1", "--R-start", "0.5", "--R-stop", "1",
+                  "--R-count", "2", "--radius", "1", "--out", str(out_path)],
+                 ["verify", "--lmax", "-1", "--seed", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "lmax must be non-negative" in err
+    assert not out_path.exists()

@@ -86,6 +86,19 @@ def test_hankel_oracle_rejects_negative_separation():
         hankel_triple_bessel(ReducedIndex(0, 0, 0), -1.0, 1.0, SPEC)
 
 
+# (R, a) outside regime_of's domain: each must raise, not fall through to a
+# number (R = nan compares like R = 0) or a division by zero (a = 0 or inf)
+@pytest.mark.parametrize("R,a", [(math.nan, 1.0), (math.inf, 1.0),
+                                 (-1.0, 1.0), (1.0, -1.0), (1.0, 0.0),
+                                 (1.0, math.inf), (1.0, math.nan)])
+def test_hankel_oracles_reject_bad_separation_or_radius(R, a):
+    idx = ReducedIndex(1, 1, 0)
+    with pytest.raises(ValueError, match="finite"):
+        hankel_triple_bessel(idx, R, a, SPEC)
+    with pytest.raises(ValueError, match="finite"):
+        hankel_inverse(idx, R, a, lambda k: 1.0, SPEC)
+
+
 # ---------------------------------------------------------------------------
 # surface-convolution oracle
 # ---------------------------------------------------------------------------
@@ -181,6 +194,14 @@ def test_forward_transform_rejects_nonpositive_wavenumber():
     idx = ReducedIndex(0, 0, 0)
     with pytest.raises(ValueError):
         hankel_forward(idx, 0.0, 1.0, lambda R: 1.0, SPEC)
+
+
+@pytest.mark.parametrize("k,a", [(math.inf, 1.0), (math.nan, 1.0),
+                                 (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0),
+                                 (1.0, math.inf), (1.0, math.nan)])
+def test_forward_transform_rejects_bad_wavenumber_or_radius(k, a):
+    with pytest.raises(ValueError, match="finite"):
+        hankel_forward(ReducedIndex(0, 0, 0), k, a, lambda R: 1.0, SPEC)
 
 
 def test_inverse_transform_rejects_nonpositive_separation():
