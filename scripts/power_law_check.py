@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     a = args.radius
     if args.R_start <= 2 * a:
         ap.error("--R-start must exceed 2*radius for the power-law regime")
+    if args.R_count < 2:
+        ap.error("--R-count must be at least 2")
     grid = [args.R_start + i * (args.R_stop - args.R_start)
             / (args.R_count - 1) for i in range(args.R_count)]
 

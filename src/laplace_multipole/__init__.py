@@ -43,3 +43,7 @@ def __getattr__(name):
         from . import oracles
         return getattr(oracles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE_NAMES})

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import random
@@ -32,36 +31,36 @@ _CSV_FIELDS = ["l", "m", "lp", "mp", "j", "R", "a", "regime",
 
 
 def _fmt(x) -> str:
-    if x is None or x == "":
+    if x is None:
         return ""
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)
 
 
-def _emit(records: list, command: str, flags: dict, fmt: str, stream) -> None:
-    if fmt == "csv":
+def _record(l, m, lp, mp, j, R, a, regime, value) -> dict:
+    """One output row; m and m' are None for reduced elements, j for the
+    canonical and Fourier ones."""
+    value = complex(value)
+    return dict(zip(_CSV_FIELDS, (l, m, lp, mp, j, R, a, regime,
+                                  value.real, value.imag)))
+
+
+def _emit(records: list, args, stream) -> None:
+    if args.format == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
-        for rec in records:
-            writer.writerow([_fmt(rec.get(f, "")) for f in _CSV_FIELDS])
-    else:
-        out = {
-            "records": [
-                {k: v for k, v in rec.items() if v is not None}
-                for rec in records
-            ],
-            "meta": {
-                "version": __version__,
-                "command": command,
-                "flags": {k: flags[k] for k in sorted(flags)
-                          if k not in ("func", "command")
-                          and isinstance(flags[k], (int, float, str, bool,
-                                                    type(None)))},
-            },
-        }
-        json.dump(out, stream, indent=2, sort_keys=False)
-        stream.write("\n")
+        writer.writerows([_fmt(r[f]) for f in _CSV_FIELDS] for r in records)
+        return
+    flags = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v
+             for k, v in sorted(vars(args).items())
+             if k not in ("func", "command")}
+    json.dump({"records": [{k: v for k, v in rec.items() if v is not None}
+                           for rec in records],
+               "meta": {"version": __version__, "command": args.command,
+                        "flags": flags}},
+              stream, indent=2)
+    stream.write("\n")
 
 
 def _vec3(text: str):
@@ -78,23 +77,17 @@ def _vec3(text: str):
 def _cmd_reduced(args) -> int:
     idx = ReducedIndex(args.l, args.lp, args.j)
     elem = g_reduced(idx, args.R, args.radius)
-    rec = {"l": args.l, "m": None, "lp": args.lp, "mp": None, "j": args.j,
-           "R": args.R, "a": args.radius, "regime": elem.regime,
-           "value_re": elem.value, "value_im": 0.0}
-    _emit([rec], "reduced", vars(args), args.format, sys.stdout)
+    _emit([_record(args.l, None, args.lp, None, args.j, args.R, args.radius,
+                   elem.regime, elem.value)], args, sys.stdout)
     return 0
 
 
 def _cmd_element(args) -> int:
-    lm = MultipoleIndex(args.l, args.m)
-    lpmp = MultipoleIndex(args.lp, args.mp)
+    lm, lpmp = MultipoleIndex(args.l, args.m), MultipoleIndex(args.lp, args.mp)
     geom = SphereGeometry.from_vector(args.R, args.radius)
     val = matrix_element(lm, lpmp, geom)
-    rec = {"l": args.l, "m": args.m, "lp": args.lp, "mp": args.mp, "j": None,
-           "R": geom.R, "a": args.radius, "regime": regime_of(geom.R, geom.a),
-           "value_re": val.real, "value_im": val.imag}
-    _emit([rec], "element", {**vars(args), "R": ",".join(map(str, args.R))},
-          args.format, sys.stdout)
+    _emit([_record(args.l, args.m, args.lp, args.mp, None, geom.R, args.radius,
+                   regime_of(geom.R, geom.a), val)], args, sys.stdout)
     return 0
 
 
@@ -118,15 +111,11 @@ def _cmd_table(args) -> int:
         idx = ReducedIndex(l, lp, j)
         for R in grid:
             elem = g_reduced(idx, R, args.radius)
-            records.append({"l": l, "m": None, "lp": lp, "mp": None, "j": j,
-                            "R": R, "a": args.radius, "regime": elem.regime,
-                            "value_re": elem.value, "value_im": 0.0})
-    buf = io.StringIO()
-    _emit(records, "table", {**vars(args), "out": str(args.out)},
-          args.format, buf)
+            records.append(_record(l, None, lp, None, j, R, args.radius,
+                                   elem.regime, elem.value))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            _emit(records, args, fh)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
@@ -134,22 +123,15 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
-    lm = MultipoleIndex(args.l, args.m)
-    lpmp = MultipoleIndex(args.lp, args.mp)
-    k = math.hypot(*args.k)
+    lm, lpmp = MultipoleIndex(args.l, args.m), MultipoleIndex(args.lp, args.mp)
     val = fourier_matrix_element(lm, lpmp, args.k, args.radius)
     if args.debug_omega:
-        w1 = omega_hat(lm, args.k, args.radius)
-        w2 = omega_hat(lpmp, args.k, args.radius)
-        print(f"# omega_hat  lm: {_fmt(w1.real)} {_fmt(w1.imag)}",
-              file=sys.stderr)
-        print(f"# omega_hat lpmp: {_fmt(w2.real)} {_fmt(w2.imag)}",
-              file=sys.stderr)
-    rec = {"l": args.l, "m": args.m, "lp": args.lp, "mp": args.mp, "j": None,
-           "R": k, "a": args.radius, "regime": "fourier",
-           "value_re": val.real, "value_im": val.imag}
-    _emit([rec], "fourier", {**vars(args), "k": ",".join(map(str, args.k))},
-          args.format, sys.stdout)
+        for label, idx in ((" lm", lm), ("lpmp", lpmp)):
+            w = omega_hat(idx, args.k, args.radius)
+            print(f"# omega_hat {label}: {_fmt(w.real)} {_fmt(w.imag)}",
+                  file=sys.stderr)
+    _emit([_record(args.l, args.m, args.lp, args.mp, None, math.hypot(*args.k),
+                   args.radius, "fourier", val)], args, sys.stdout)
     return 0
 
 
@@ -242,6 +224,8 @@ def _check_fourier():
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 < args.tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be positive and finite, got {args.tol}")
     if args.lmax < 0:
         raise ValueError("lmax must be non-negative")
     if args.lmax > 4:
@@ -279,50 +263,41 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for two equal spheres")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_format(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--radius", type=float, required=True)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    pair = argparse.ArgumentParser(add_help=False)
+    for flag in ("--l", "--m", "--lp", "--mp"):
+        pair.add_argument(flag, type=int, required=True)
 
-    sp = sub.add_parser("reduced", help="one reduced element g^j_{l,l'}(R)")
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--lp", type=int, required=True)
-    sp.add_argument("--j", type=int, required=True)
+    sp = sub.add_parser("reduced", parents=[output],
+                        help="one reduced element g^j_{l,l'}(R)")
+    for flag in ("--l", "--lp", "--j"):
+        sp.add_argument(flag, type=int, required=True)
     sp.add_argument("--R", type=float, required=True)
-    sp.add_argument("--radius", type=float, required=True)
-    add_format(sp)
     sp.set_defaults(func=_cmd_reduced)
 
-    sp = sub.add_parser("element", help="canonical element at a separation vector")
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--lp", type=int, required=True)
-    sp.add_argument("--mp", type=int, required=True)
+    sp = sub.add_parser("element", parents=[pair, output],
+                        help="canonical element at a separation vector")
     sp.add_argument("--R", type=_vec3, required=True,
                     help="separation vector Rx,Ry,Rz")
-    sp.add_argument("--radius", type=float, required=True)
-    add_format(sp)
     sp.set_defaults(func=_cmd_element)
 
-    sp = sub.add_parser("table", help="reduced elements on an R grid")
+    sp = sub.add_parser("table", parents=[output],
+                        help="reduced elements on an R grid")
     sp.add_argument("--lmax", type=int, required=True)
     sp.add_argument("--R-start", dest="R_start", type=float, required=True)
     sp.add_argument("--R-stop", dest="R_stop", type=float, required=True)
     sp.add_argument("--R-count", dest="R_count", type=int, required=True)
-    sp.add_argument("--radius", type=float, required=True)
     sp.add_argument("--out", required=True)
-    add_format(sp)
     sp.set_defaults(func=_cmd_table)
 
-    sp = sub.add_parser("fourier", help="Fourier-space element at a wave vector")
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--lp", type=int, required=True)
-    sp.add_argument("--mp", type=int, required=True)
+    sp = sub.add_parser("fourier", parents=[pair, output],
+                        help="Fourier-space element at a wave vector")
     sp.add_argument("--k", type=_vec3, required=True,
                     help="wave vector kx,ky,kz")
-    sp.add_argument("--radius", type=float, required=True)
     sp.add_argument("--debug-omega", action="store_true",
                     help="print the two surface-density transforms to stderr")
-    add_format(sp)
     sp.set_defaults(func=_cmd_fourier)
 
     sp = sub.add_parser("verify", help="run the oracle verification suite")

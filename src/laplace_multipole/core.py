@@ -326,7 +326,7 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
         if tj == 0.0:
             continue
         acc += tj * g_reduced(ReducedIndex(l, lp, j), R, a).value
-    return complex((-1) ** m * acc)
+    return complex((-1 if m % 2 else 1) * acc)
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +341,7 @@ def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     terms, contact = [], 0.0
     for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
         coefficients, at_contact = _reduced(l, lp, j)
-        weight = ((-1) ** mp * math.sqrt(4 * math.pi / (2 * j + 1))
+        weight = ((-1 if mp % 2 else 1) * math.sqrt(4 * math.pi / (2 * j + 1))
                   * wigner_3j_float(j, l, lp, m1, m, -mp))
         if weight == 0.0 or not coefficients:
             continue

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (run in-process via main())."""
 import json
 import math
+import re
 
 import pytest
 
@@ -74,6 +75,49 @@ def test_fourier_output_and_debug(capsys):
     assert row[7] == "fourier"
     assert float(row[5]) == pytest.approx(math.sqrt(0.09 + 0.01 + 0.25))
     assert err.count("omega_hat") == 2
+
+
+def test_json_meta_flags(tmp_path, capsys):
+    # tuple flags are written as "x,y,z"; func and command are not flags
+    out_path = tmp_path / "t.json"
+    cases = [
+        (["element", "--l", "2", "--m", "-1", "--lp", "1", "--mp", "1",
+          "--R", "0.3,-0.4,1.1", "--radius", "1.2"],
+         {"R": "0.3,-0.4,1.1", "format": "json", "l": 2, "lp": 1, "m": -1,
+          "mp": 1, "radius": 1.2}),
+        (["fourier", "--l", "1", "--m", "1", "--lp", "2", "--mp", "0",
+          "--k", "0.3,0.1,0.5", "--radius", "1", "--debug-omega"],
+         {"debug_omega": True, "format": "json", "k": "0.3,0.1,0.5", "l": 1,
+          "lp": 2, "m": 1, "mp": 0, "radius": 1.0}),
+        (["table", "--lmax", "1", "--R-start", "0.5", "--R-stop", "4",
+          "--R-count", "3", "--radius", "1", "--out", str(out_path)],
+         {"R_count": 3, "R_start": 0.5, "R_stop": 4.0, "format": "json",
+          "lmax": 1, "out": str(out_path), "radius": 1.0}),
+    ]
+    for argv, flags in cases:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        meta = json.loads(out_path.read_text() if argv[0] == "table"
+                          else out)["meta"]
+        assert meta["command"] == argv[0]
+        assert meta["flags"] == flags
+        assert list(meta["flags"]) == sorted(flags)
+
+
+@pytest.mark.parametrize("command, options", [
+    ("reduced", "--l --lp --j --R --radius --format"),
+    ("element", "--l --m --lp --mp --R --radius --format"),
+    ("table", "--lmax --R-start --R-stop --R-count --radius --out --format"),
+    ("fourier", "--l --m --lp --mp --k --radius --debug-omega --format"),
+    ("verify", "--lmax --tol --seed"),
+])
+def test_subcommand_help_lists_its_options(command, options, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*",
+                            capsys.readouterr().out))
+    assert listed == {"-h", "--help", *options.split()}
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +238,15 @@ def test_verify_fails_at_impossible_tolerance(capsys):
     code, out, _ = run(capsys, "verify", "--lmax", "0", "--tol", "1e-30")
     assert code == 1
     assert "verification failed" in out
+
+
+def test_verify_rejects_bad_tolerance(capsys):
+    # before any check runs: nothing on stdout
+    for tol in ("nan", "inf", "0", "-1"):
+        code, out, err = run(capsys, "verify", "--lmax", "0", "--tol", tol)
+        assert code == 2, tol
+        assert out == ""
+        assert "tol must be positive and finite" in err
 
 
 def test_verify_rejects_large_lmax(capsys):

@@ -275,6 +275,21 @@ def test_input_validation():
                      (1, 1, np.float64(2.0))]:
         with pytest.raises(ValueError):
             ReducedIndex(l, lp, j)
+    # and evaluate with m < 0, where (-1) ** m fails for numpy integers; a
+    # plan already cached for plain ints would hide that
+    geom = SphereGeometry(1.3, 0.4, 0.9, 1.0)
+    for m, mp in ((-1, -1), (-1, 1), (1, -1)):
+        want = [matrix_element(MultipoleIndex(1, m), MultipoleIndex(2, mp),
+                               geom),
+                matrix_element_zaxis(MultipoleIndex(1, m),
+                                     MultipoleIndex(2, m), 1.3, 1.0)]
+        core._channel_plan.cache_clear()
+        lm = MultipoleIndex(np.int64(1), np.int64(m))
+        assert [matrix_element(lm, MultipoleIndex(np.int64(2), np.int64(mp)),
+                               geom),
+                matrix_element_zaxis(lm, MultipoleIndex(np.int64(2),
+                                                        np.int64(m)),
+                                     1.3, 1.0)] == want
 
 
 def test_regime_of_labels_and_rejects_nonfinite():
@@ -346,14 +361,12 @@ def test_kernel_conjugate_symmetry():
         assert v == pytest.approx(w.conjugate(), abs=1e-12)
 
 
-def _per_term_block(idx, geom):
+def _per_term_block(idx, g, theta, phi):
     """The sum over j written out term by term for every pair of channels in
-    idx, from g_reduced, the 3-j symbols and scipy's spherical harmonic."""
+    idx, from the reduced elements g[l, l', j], the 3-j symbols and scipy's
+    spherical harmonic of the direction (theta, phi)."""
     lmax = max(p.l for p in idx)
-    g = {(l, lp, j): g_reduced(ReducedIndex(l, lp, j), geom.R, geom.a).value
-         for l in range(lmax + 1) for lp in range(lmax + 1)
-         for j in range(abs(l - lp), l + lp + 1)}
-    Y = {(j, m1): complex(sph_harm_y(j, m1, geom.theta, geom.phi))
+    Y = {(j, m1): complex(sph_harm_y(j, m1, theta, phi))
          for j in range(2 * lmax + 1) for m1 in range(-j, j + 1)}
     block = np.zeros((len(idx), len(idx)), dtype=complex)
     for row, p in enumerate(idx):
@@ -367,6 +380,13 @@ def _per_term_block(idx, geom):
     return block
 
 
+def _reduced_table(g, lmax):
+    """g(ReducedIndex) for every (l, l', j) up to lmax, parity odd included."""
+    return {(l, lp, j): g(ReducedIndex(l, lp, j))
+            for l in range(lmax + 1) for lp in range(lmax + 1)
+            for j in range(abs(l - lp), l + lp + 1)}
+
+
 def test_matrix_element_matches_per_term_sum():
     lmax = 6
     idx = [MultipoleIndex(l, m) for l in range(lmax + 1)
@@ -377,7 +397,9 @@ def test_matrix_element_matches_per_term_sum():
                 geom = SphereGeometry(rho * a, theta, 0.9, a)
                 got = np.array([[matrix_element(p, q, geom) for q in idx]
                                 for p in idx])
-                want = _per_term_block(idx, geom)
+                g = _reduced_table(
+                    lambda r: g_reduced(r, geom.R, geom.a).value, lmax)
+                want = _per_term_block(idx, g, geom.theta, geom.phi)
                 scale = np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-13 * scale, \
                     (a, rho, theta)
@@ -404,6 +426,25 @@ def test_fourier_element_factorizes():
         want = omega_hat(lm, kvec, a).conjugate() * omega_hat(lpmp, kvec, a) / k2
         assert fourier_matrix_element(lm, lpmp, kvec, a) == \
             pytest.approx(want, abs=1e-14)
+
+
+def test_fourier_element_matches_gaunt_sum():
+    # the position-space angular weights with g_tilde in place of g: an
+    # independent check of the conj(omega_hat) omega_hat / k^2 closed form
+    lmax = 4
+    idx = [MultipoleIndex(l, m) for l in range(lmax + 1)
+           for m in range(-l, l + 1)]
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        kvec = tuple(rng.uniform(-2.0, 2.0, 3))
+        a = rng.uniform(0.5, 1.5)
+        k = math.hypot(*kvec)
+        g = _reduced_table(lambda r: g_tilde(r, k, a), lmax)
+        want = _per_term_block(idx, g, math.acos(kvec[2] / k),
+                               math.atan2(kvec[1], kvec[0]))
+        got = np.array([[fourier_matrix_element(p, q, kvec, a) for q in idx]
+                        for p in idx])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), kvec
 
 
 def test_fourier_element_rejects_zero_wavevector():

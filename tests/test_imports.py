@@ -34,15 +34,18 @@ print(json.dumps([before, sorted(m for m in heavy if m in sys.modules)]))
 """
 
 
-def test_production_commands_load_no_oracle_dependencies(tmp_path):
+def _run_child(probe):
     # the child imports the same package as this test run
     src = os.path.dirname(os.path.dirname(laplace_multipole.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [
                src, os.environ.get("PYTHONPATH")]))}
-    probe = _PROBE.format(heavy=HEAVY, out=str(tmp_path / "t.csv"))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    return subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_production_commands_load_no_oracle_dependencies(tmp_path):
+    proc = _run_child(_PROBE.format(heavy=HEAVY, out=str(tmp_path / "t.csv")))
     assert proc.returncode == 0, proc.stderr
     before, after = json.loads(proc.stdout.strip().splitlines()[-1])
     assert before == []
@@ -54,6 +57,16 @@ def test_star_import_binds_every_public_name():
     exec("from laplace_multipole import *", namespace)
     assert len(laplace_multipole.__all__) == 36
     assert set(laplace_multipole.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_public_name():
+    # in a fresh process, before any lazy oracle name has been resolved
+    proc = _run_child(
+        "import sys, laplace_multipole as p\n"
+        "assert 'laplace_multipole.oracles' not in sys.modules\n"
+        "missing = set(p.__all__) - set(dir(p))\n"
+        "assert not missing, sorted(missing)\n")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_oracle_names_resolve_to_the_oracles_module():

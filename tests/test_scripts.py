@@ -21,3 +21,10 @@ def test_script_main_runs(name, capsys):
     assert _load(name).main(["--lmax", "2"]) == 0
     out = capsys.readouterr().out
     assert "(l=2, l'=2, j=4)" in out
+
+
+def test_power_law_check_rejects_short_grid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load("power_law_check").main(["--R-count", "1"])
+    assert exc.value.code == 2
+    assert "--R-count must be at least 2" in capsys.readouterr().err
