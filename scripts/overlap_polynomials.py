@@ -12,14 +12,6 @@ import sys
 from laplace_multipole.core import ReducedIndex, g_reduced, overlap_polynomial
 
 
-def admissible(lmax):
-    for l in range(lmax + 1):
-        for lp in range(lmax + 1):
-            for j in range(abs(l - lp), l + lp + 1):
-                if (l + lp + j) % 2 == 0:
-                    yield ReducedIndex(l, lp, j)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lmax", type=int, default=3)
@@ -27,14 +19,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     a = args.radius
 
-    for idx in admissible(args.lmax):
+    for idx in ReducedIndex.admissible(args.lmax):
         poly = overlap_polynomial(idx, a)
         contact_poly = poly.evaluate(2 * a)
         contact_law = g_reduced(idx, 2 * a, a).value
         terms = " + ".join(f"{c:+.12g}(R/a)^{n}"
                            for n, c in enumerate(poly.coefficients) if c != 0)
         print(f"(l={idx.l}, l'={idx.lp}, j={idx.j})  degree={poly.degree}")
-        print(f"  g(R)/a^{idx.l + idx.lp + 1} = {terms or '0'}")
+        print(f"  g(R)/a^{idx.degree} = {terms or '0'}")
         print(f"  at contact: polynomial {contact_poly:.12g}, "
               f"power law {contact_law:.12g}")
     return 0

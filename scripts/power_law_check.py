@@ -12,14 +12,6 @@ import sys
 from laplace_multipole.core import ReducedIndex, g_reduced
 
 
-def admissible(lmax):
-    for l in range(lmax + 1):
-        for lp in range(lmax + 1):
-            for j in range(abs(l - lp), l + lp + 1):
-                if (l + lp + j) % 2 == 0:
-                    yield ReducedIndex(l, lp, j)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lmax", type=int, default=3)
@@ -39,8 +31,8 @@ def main(argv=None) -> int:
             / (args.R_count - 1) for i in range(args.R_count)]
 
     failures = 0
-    for idx in admissible(args.lmax):
-        p = idx.l + idx.lp + 1
+    for idx in ReducedIndex.admissible(args.lmax):
+        p = idx.degree
         vals = [g_reduced(idx, R, a).value for R in grid]
         if idx.j != idx.l + idx.lp:
             ok = all(v == 0.0 for v in vals)

@@ -91,28 +91,18 @@ def _cmd_element(args) -> int:
     return 0
 
 
-def _admissible_triples(lmax: int):
-    for l in range(lmax + 1):
-        for lp in range(lmax + 1):
-            for j in range(abs(l - lp), l + lp + 1):
-                if (l + lp + j) % 2 == 0:
-                    yield (l, lp, j)
-
-
 def _cmd_table(args) -> int:
-    if args.lmax < 0:
-        raise ValueError("lmax must be non-negative")
+    indices = ReducedIndex.admissible(args.lmax)
     if args.R_count < 2:
         raise ValueError("R-count must be at least 2")
     grid = [args.R_start + i * (args.R_stop - args.R_start) / (args.R_count - 1)
             for i in range(args.R_count)]
     records = []
-    for (l, lp, j) in _admissible_triples(args.lmax):
-        idx = ReducedIndex(l, lp, j)
+    for idx in indices:
         for R in grid:
             elem = g_reduced(idx, R, args.radius)
-            records.append(_record(l, None, lp, None, j, R, args.radius,
-                                   elem.regime, elem.value))
+            records.append(_record(idx.l, None, idx.lp, None, idx.j, R,
+                                   args.radius, elem.regime, elem.value))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _emit(records, args, fh)
@@ -155,8 +145,7 @@ def _check_hankel(lmax: int):
     from .oracles import QuadratureSpec, hankel_triple_bessel
     spec = QuadratureSpec()
     worst = 0.0
-    for (l, lp, j) in _admissible_triples(lmax):
-        idx = ReducedIndex(l, lp, j)
+    for idx in ReducedIndex.admissible(lmax):
         for R in (0.5, 1.0, 2.5):
             closed = g_reduced(idx, R, 1.0).value
             oracle = mu_coefficient(idx) * hankel_triple_bessel(idx, R, 1.0,

@@ -52,6 +52,21 @@ class ReducedIndex:
     def parity_even(self) -> bool:
         return (self.l + self.lp + self.j) % 2 == 0
 
+    @property
+    def degree(self) -> int:
+        """Degree l+l'+1 of the overlap polynomial and of the power law."""
+        return self.l + self.lp + 1
+
+    @classmethod
+    def admissible(cls, lmax: int) -> list:
+        """Every index with l, l' <= lmax and even l+l'+j, in (l, l', j)
+        order; ValueError for a negative lmax."""
+        _check_integer_orders(lmax)
+        if lmax < 0:
+            raise ValueError(f"lmax must be non-negative, got {lmax}")
+        return [cls(l, lp, j) for l in range(lmax + 1) for lp in range(lmax + 1)
+                for j in range(abs(l - lp), l + lp + 1, 2)]
+
 
 @dataclass(frozen=True)
 class SphereGeometry:
@@ -142,7 +157,7 @@ def triple_bessel_nonoverlap(idx: ReducedIndex, R: float, a: float) -> float:
     l, lp, j = idx.l, idx.lp, idx.j
     if j != l + lp:
         return 0.0
-    return (_SQRT_PI3 / (8 * a) * (a / R) ** (l + lp + 1)
+    return (_SQRT_PI3 / (8 * a) * (a / R) ** idx.degree
             * math.gamma(0.5 + l + lp)
             / (math.gamma(1.5 + l) * math.gamma(1.5 + lp)))
 
@@ -170,8 +185,8 @@ def _expand(rows: list, c0: int, c1: int) -> list:
 @lru_cache(maxsize=None)
 def _overlap_assembly(l: int, lp: int, j: int) -> tuple:
     """The overlap polynomial of int_0^inf j_j(k rho) j_l(k) j_l'(k) dk, built
-    exactly in integers: the float coefficients c_p of rho^p, the residue
-    (exactly 0.0) and the integers N_p, Q with c_p = pi N_p / Q.
+    exactly in integers: the float coefficients c_p of rho^p and the
+    integers N_p, Q with c_p = pi N_p / Q.
 
     The integrand is a finite sum of A rho^-(k1+1) k^-(n+1) e^(ikc) with
     c = s1 rho + d and n = k1+k2+k3+2.  With k^eps attached to every term,
@@ -228,7 +243,7 @@ def _overlap_assembly(l: int, lp: int, j: int) -> tuple:
     g = math.gcd(denominator, *numerators)
     numerators, denominator = tuple(x // g for x in numerators), denominator // g
     coefficients = tuple(math.pi * (x / denominator) for x in numerators)
-    return coefficients, 0.0, numerators, denominator
+    return coefficients, numerators, denominator
 
 
 def _horner(coefficients, t: float) -> float:
@@ -291,23 +306,23 @@ def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
     stretched power law from R = 2a on."""
     regime = regime_of(R, a)
     coefficients, contact = _reduced(idx.l, idx.lp, idx.j)
-    degree = idx.l + idx.lp + 1
     if regime == "overlap":
         value = _horner(coefficients, R / a)
     else:
-        value = contact * (2 * a / R) ** degree
-    return ReducedElement(idx, R, a, a ** degree * value, regime)
+        value = contact * (2 * a / R) ** idx.degree
+    return ReducedElement(idx, R, a, a ** idx.degree * value, regime)
 
 
 def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     """Exact polynomial representation of the overlap-regime reduced element:
-    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, from the cached record, with
-    the assembly's pole-cancellation residue; even l+l'+j only."""
+    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, from the cached record; its
+    degree is that of the built coefficients, and its residue 0.0, since
+    the build raises PoleResidueError for any other.  Even l+l'+j only."""
     regime_of(0.0, a)
-    degree = idx.l + idx.lp + 1
-    residue = _overlap_assembly(idx.l, idx.lp, idx.j)[1]
-    return RadialPolynomial(degree, _reduced(idx.l, idx.lp, idx.j)[0],
-                            a ** degree, a, residue)
+    _overlap_assembly(idx.l, idx.lp, idx.j)  # ValueError for odd l+l'+j
+    coefficients = _reduced(idx.l, idx.lp, idx.j)[0]
+    return RadialPolynomial(len(coefficients) - 1, coefficients,
+                            a ** idx.degree, a, residue=0.0)
 
 
 # ---------------------------------------------------------------------------

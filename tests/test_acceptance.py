@@ -31,14 +31,6 @@ from laplace_multipole.oracles import (
 from laplace_multipole.specfun import EulerAngles, MultipoleIndex, wigner_D
 
 
-def _admissible(lmax):
-    for l in range(lmax + 1):
-        for lp in range(lmax + 1):
-            for j in range(abs(l - lp), l + lp + 1):
-                if (l + lp + j) % 2 == 0:
-                    yield ReducedIndex(l, lp, j)
-
-
 def _report(criterion, name, err, tol):
     ok = err <= tol
     print(f"criterion-{criterion} {name}: max-err={err:.3e} tol={tol:.1e} "
@@ -70,7 +62,7 @@ def test_criterion_1_golden_polynomials():
 
 def test_criterion_2_pole_cancellation():
     worst = 0.0
-    for idx in _admissible(6):
+    for idx in ReducedIndex.admissible(6):
         worst = max(worst, overlap_polynomial(idx, 1.0).residue)
     _report(2, "pole-cancellation", worst, 1e-8)
 
@@ -83,7 +75,7 @@ def test_criterion_3_hankel_oracle_equivalence():
     spec = QuadratureSpec()
     a = 1.0
     worst = 0.0
-    for idx in _admissible(4):
+    for idx in ReducedIndex.admissible(4):
         scale = mu_coefficient(idx) * a ** (idx.l + idx.lp + 2)
         for ratio in (0.3, 1.0, 1.7, 2.5, 6.0):
             R = ratio * a
@@ -126,7 +118,7 @@ def test_criterion_5_regime_consistency():
     worst = 0.0
     # two-sided continuity at contact: overlap polynomial extrapolated to
     # R = 2a against the non-overlap power law
-    for idx in _admissible(3):
+    for idx in ReducedIndex.admissible(3):
         poly = overlap_polynomial(idx, a)
         inner = poly.evaluate(2 * a)
         outer = g_reduced(idx, 2 * a, a).value
@@ -210,9 +202,9 @@ def test_criterion_7_fourier_consistency():
 
 def test_criterion_8_overlap_degree():
     bad = []
-    for idx in _admissible(4):
+    for idx in ReducedIndex.admissible(4):
         poly = overlap_polynomial(idx, 1.0)
-        if poly.degree != idx.l + idx.lp + 1:
+        if poly.degree != idx.l + idx.lp + 1 or poly.coefficients[-1] == 0:
             bad.append((idx.l, idx.lp, idx.j, poly.degree))
     ok = not bad
     print(f"criterion-8 overlap-degree: mismatches={bad or 'none'} "

@@ -49,6 +49,22 @@ def test_parity_even_property():
     assert not ReducedIndex(1, 1, 1).parity_even
 
 
+def test_admissible_indices_and_degree():
+    for lmax in range(9):
+        want = []
+        for l in range(lmax + 1):
+            for lp in range(lmax + 1):
+                for j in range(abs(l - lp), l + lp + 1):
+                    if (l + lp + j) % 2 == 0:
+                        want.append(ReducedIndex(l, lp, j))
+        assert ReducedIndex.admissible(lmax) == want
+    assert len(ReducedIndex.admissible(8)) == 285
+    with pytest.raises(ValueError):
+        ReducedIndex.admissible(-1)
+    assert ReducedIndex(2, 3, 1).degree == 6
+    assert ReducedIndex(0, 0, 0).degree == 1
+
+
 def test_geometry_from_vector():
     g = SphereGeometry.from_vector((0.0, 0.0, 3.0), a=1.0)
     assert g.R == pytest.approx(3.0)
@@ -184,19 +200,11 @@ def test_overlap_branch_rejects_odd_parity():
     assert g_reduced(ReducedIndex(1, 1, 1), 0.7, 1.0).value == 0.0
 
 
-def _admissible(lmax):
-    for l in range(lmax + 1):
-        for lp in range(lmax + 1):
-            for j in range(abs(l - lp), l + lp + 1):
-                if (l + lp + j) % 2 == 0:
-                    yield ReducedIndex(l, lp, j)
-
-
 def test_overlap_finite_up_to_contact():
     # the polynomial holds on the whole overlap range, right up to R = 2a
     a = 1.0
     worst = 0.0
-    for idx in _admissible(6):
+    for idx in ReducedIndex.admissible(6):
         near = [g_reduced(idx, R, a) for R in (1.999 * a, 2 * a * (1 - 1e-16))]
         assert all(el.regime == "overlap" for el in near)
         assert all(math.isfinite(el.value) for el in near)
@@ -220,10 +228,10 @@ def _half_gamma(n):
 
 def test_overlap_polynomial_exact_identities():
     # the exact build gives c_p = pi N_p / Q; check it in rationals at R = 2a
-    for idx in _admissible(8):
+    for idx in ReducedIndex.admissible(8):
         l, lp, j = idx.l, idx.lp, idx.j
-        _, residue, numerators, denominator = _overlap_assembly(l, lp, j)
-        assert residue == 0.0
+        _, numerators, denominator = _overlap_assembly(l, lp, j)
+        assert overlap_polynomial(idx, 1.0).residue == 0.0
         assert len(numerators) == l + lp + 2 and numerators[-1] != 0, idx
         contact = Fraction(sum(n * 2 ** p for p, n in enumerate(numerators)),
                            denominator)
@@ -238,7 +246,7 @@ def test_overlap_polynomial_exact_identities():
     goldens = {(1, 1, 0): ((16, -12, 0, 1), 96),
                (2, 3, 3): ((0, 0, 16, 0, -8, 0, 1), 1024)}
     for (l, lp, j), (numerators, denominator) in goldens.items():
-        _, _, got, q = _overlap_assembly(l, lp, j)
+        _, got, q = _overlap_assembly(l, lp, j)
         assert [Fraction(n, q) for n in got] == \
             [Fraction(n, denominator) for n in numerators]
 
