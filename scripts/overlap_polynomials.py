@@ -7,6 +7,7 @@ degree l+l'+1 in R on the overlap range; this prints its coefficients
 contact R = 2a, which must match the non-overlap power law.
 """
 import argparse
+import math
 import sys
 
 from laplace_multipole.core import ReducedIndex, g_reduced, overlap_polynomial
@@ -18,6 +19,10 @@ def main(argv=None) -> int:
     ap.add_argument("--radius", type=float, default=1.0)
     args = ap.parse_args(argv)
     a = args.radius
+    if args.lmax < 0:
+        ap.error("--lmax must be non-negative")
+    if not 0 < a < math.inf:  # also rejects NaN
+        ap.error("--radius must be finite and positive")
 
     for idx in ReducedIndex.admissible(args.lmax):
         poly = overlap_polynomial(idx, a)

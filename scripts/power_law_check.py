@@ -7,6 +7,7 @@ g(R) R^(l+l'+1) is constant along the column.  Channels with j != l+l'
 must be exactly zero there.
 """
 import argparse
+import math
 import sys
 
 from laplace_multipole.core import ReducedIndex, g_reduced
@@ -23,6 +24,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     a = args.radius
+    if args.lmax < 0:
+        ap.error("--lmax must be non-negative")
+    if not 0 < a < math.inf:  # also rejects NaN
+        ap.error("--radius must be finite and positive")
+    if not 0 < args.tol < math.inf:
+        ap.error("--tol must be finite and positive")
     if args.R_start <= 2 * a:
         ap.error("--R-start must exceed 2*radius for the power-law regime")
     if args.R_count < 2:

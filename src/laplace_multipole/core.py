@@ -4,9 +4,9 @@ Reduced elements g^j_{l,l'}(R) for two spheres of equal radius a, in the
 non-overlap (R >= 2a, power law) and overlap (R <= 2a, polynomial) regimes,
 z-axis and general-orientation canonical elements, and Fourier-space
 elements.  regime_of alone validates (R, a) and picks the regime; each
-(l, l', j) is reduced once (_reduced) to its mu-folded overlap polynomial
-and its power-law value at contact, which every position-space element
-reads.
+(l, l', j) is reduced once (_reduced) to its mu-folded overlap polynomial,
+deflated by its zero at contact, and its power-law value at contact, which
+every position-space element reads.
 
 The overlap regime is a polynomial of degree l+l'+1 in rho = R/a.  Each
 spherical Bessel function is a finite sum of x^-p e^(+-ix) with rational
@@ -119,6 +119,9 @@ class RadialPolynomial:
     residue: float
 
     def evaluate(self, R: float) -> float:
+        if regime_of(R, self.a) == "nonoverlap":
+            raise RegimeError(f"overlap polynomial needs 0 <= R <= 2a, "
+                              f"got R={R}, a={self.a}")
         return self.scale * _horner(self.coefficients, R / self.a)
 
 
@@ -287,27 +290,43 @@ def regime_of(R: float, a: float) -> str:
 
 @lru_cache(maxsize=None)
 def _reduced(l: int, lp: int, j: int) -> tuple:
-    """g^j_{l,l'} for a = 1, built once: the mu-folded overlap coefficients
-    mu c_p of rho^p, and mu times the triple-Bessel integral at contact
-    R = 2, which the power law scales by (2a/R)^(l+l'+1).  Both vanish
-    (no coefficients, 0.0) where mu does, for odd l+l'+j."""
+    """g^j_{l,l'} for a = 1, built once: the multiplicity k of the zero of
+    the overlap polynomial at contact rho = 2, the mu-folded quotient q with
+    mu c(rho) = (2 - rho)^k q(rho), and mu times the triple-Bessel integral
+    at contact R = 2, which the power law scales by (2a/R)^(l+l'+1).  All
+    vanish (0, no coefficients, 0.0) where mu does, for odd l+l'+j.
+
+    Horner on the expanded polynomial loses the zero at contact (every
+    j < l+l' has a double one): its terms cancel to a residue of rounding
+    errors.  So (2 - rho)^k is divided out of the exact numerators N_p by
+    synthetic division, and the factor is applied in floats, where
+    2 - rho is exact for 1 <= rho <= 2."""
     idx = ReducedIndex(l, lp, j)
     mu = mu_coefficient(idx)
     if mu == 0.0:
-        return (), 0.0
-    coefficients = _overlap_assembly(l, lp, j)[0]
-    return (tuple(mu * c for c in coefficients),
+        return 0, (), 0.0
+    _, numerators, denominator = _overlap_assembly(l, lp, j)
+    k = 0
+    while not sum(x * 2 ** p for p, x in enumerate(numerators)):
+        quotient, acc = [], 0  # N(rho) = (2 - rho) * quotient(rho)
+        for x in reversed(numerators[1:]):
+            acc = 2 * acc + x
+            quotient.append(-acc)
+        numerators, k = quotient[::-1], k + 1
+    return (k, tuple(mu * (math.pi * (x / denominator)) for x in numerators),
             mu * triple_bessel_nonoverlap(idx, 2.0, 1.0))
 
 
 def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
     """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral,
-    from the per-(l, l', j) record: a polynomial in R/a below contact, the
-    stretched power law from R = 2a on."""
+    from the per-(l, l', j) record: the deflated polynomial
+    (2 - R/a)^k q(R/a) below contact, the stretched power law from R = 2a
+    on."""
     regime = regime_of(R, a)
-    coefficients, contact = _reduced(idx.l, idx.lp, idx.j)
+    k, quotient, contact = _reduced(idx.l, idx.lp, idx.j)
     if regime == "overlap":
-        value = _horner(coefficients, R / a)
+        rho = R / a
+        value = (2 - rho) ** k * _horner(quotient, rho)
     else:
         value = contact * (2 * a / R) ** idx.degree
     return ReducedElement(idx, R, a, a ** idx.degree * value, regime)
@@ -315,12 +334,13 @@ def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
 
 def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     """Exact polynomial representation of the overlap-regime reduced element:
-    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, from the cached record; its
-    degree is that of the built coefficients, and its residue 0.0, since
-    the build raises PoleResidueError for any other.  Even l+l'+j only."""
+    g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, expanded; its degree is that
+    of the built coefficients, and its residue 0.0, since the build raises
+    PoleResidueError for any other.  Even l+l'+j only (ValueError)."""
     regime_of(0.0, a)
-    _overlap_assembly(idx.l, idx.lp, idx.j)  # ValueError for odd l+l'+j
-    coefficients = _reduced(idx.l, idx.lp, idx.j)[0]
+    mu = mu_coefficient(idx)
+    coefficients = tuple(mu * c for c in
+                         _overlap_assembly(idx.l, idx.lp, idx.j)[0])
     return RadialPolynomial(len(coefficients) - 1, coefficients,
                             a ** idx.degree, a, residue=0.0)
 
@@ -332,6 +352,7 @@ def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
 def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
                          R: float, a: float) -> complex:
     """Canonical element G_{lm,l'm'}(R e_z); m-diagonal and real."""
+    regime_of(R, a)
     if lm.m != lpmp.m:
         return 0.0 + 0.0j
     l, lp, m = lm.l, lpmp.l, lm.m
@@ -347,22 +368,23 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
 @lru_cache(maxsize=None)
 def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
-    R and the direction: per surviving j, (j, weight, coefficients) with the
-    weight (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') and the
-    mu-folded overlap polynomial in R/a of _reduced; and the stretched
-    (j = l+l') weight times its contact value for a = 1, which the power
-    law scales by (2a/R)^(l+l'+1)."""
+    R and the direction: per multiplicity k of the zero at contact, (k, terms)
+    with per surviving j (j, weight, quotient), the weight
+    (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') and the deflated
+    mu-folded overlap polynomial in R/a of _reduced, so that (2 - R/a)^k is
+    applied once per group; and the stretched (j = l+l') weight times its
+    contact value for a = 1, which the power law scales by (2a/R)^(l+l'+1)."""
     m1 = mp - m
-    terms, contact = [], 0.0
+    groups, contact = {}, 0.0
     for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
-        coefficients, at_contact = _reduced(l, lp, j)
+        k, quotient, at_contact = _reduced(l, lp, j)
         weight = ((-1 if mp % 2 else 1) * math.sqrt(4 * math.pi / (2 * j + 1))
                   * wigner_3j_float(j, l, lp, m1, m, -mp))
-        if weight == 0.0 or not coefficients:
+        if weight == 0.0 or not quotient:
             continue
-        terms.append((j, weight, coefficients))
+        groups.setdefault(k, []).append((j, weight, quotient))
         contact += weight * at_contact
-    return tuple(terms), contact
+    return tuple((k, tuple(terms)) for k, terms in groups.items()), contact
 
 
 def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
@@ -376,19 +398,22 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 
     which collapses to the m-diagonal z-axis form at theta = 0.  Everything
     but R and the direction comes from the cached per-channel plan
-    (_channel_plan); a call evaluates one polynomial per j in the overlap
-    regime, or the stretched power law from R = 2a on, and one Legendre
-    column, since every term shares m'-m."""
+    (_channel_plan); a call evaluates one deflated polynomial per j in the
+    overlap regime, or the stretched power law from R = 2a on, and one
+    Legendre column, since every term shares m'-m."""
     l, lp, m1 = lm.l, lpmp.l, lpmp.m - lm.m
-    terms, contact = _channel_plan(l, lm.m, lp, lpmp.m)
-    if not terms:
+    groups, contact = _channel_plan(l, lm.m, lp, lpmp.m)
+    if not groups:
         return 0.0 + 0.0j
     R, a, degree = geom.R, geom.a, l + lp + 1
     column = _legendre_column(m1, l + lp, geom.theta)
     if regime_of(R, a) == "overlap":
         rho, acc = R / a, 0.0
-        for j, weight, coefficients in terms:
-            acc += weight * _horner(coefficients, rho) * column[j - abs(m1)]
+        for k, terms in groups:
+            part = 0.0
+            for j, weight, quotient in terms:
+                part += weight * _horner(quotient, rho) * column[j - abs(m1)]
+            acc += (2 - rho) ** k * part
     else:
         acc = contact * (2 * a / R) ** degree * column[-1]
     return a ** degree * acc * cmath.exp(1j * m1 * geom.phi)

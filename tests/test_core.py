@@ -1,5 +1,6 @@
 """Tests for the reduced-element closed forms and the canonical elements."""
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -189,6 +190,10 @@ def test_boundary_regime_label():
 def test_overlap_branch_rejects_outside():
     with pytest.raises(RegimeError):
         triple_bessel_overlap(ReducedIndex(0, 0, 0), 3.0, 1.0)
+    poly = overlap_polynomial(ReducedIndex(1, 1, 0), 1.0)
+    assert poly.evaluate(2.0) == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(RegimeError):
+        poly.evaluate(5.0)
 
 
 def test_overlap_branch_rejects_odd_parity():
@@ -219,6 +224,34 @@ def test_overlap_finite_up_to_contact():
         want = -((R - 2 * a) ** 2) * (4 * a + R) / (16 * math.sqrt(3))
         got = g_reduced(ReducedIndex(1, 1, 0), R, a).value
         assert abs(got - want) / max(abs(want), 1e-2) <= 1e-10
+
+
+def _exact_reduced(idx, rho):
+    """g_reduced at a = 1 from the exact build, mu pi N(rho) / Q, with the
+    polynomial summed in rationals at the float rho."""
+    _, numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
+    acc = Fraction(0)
+    for x in reversed(numerators):
+        acc = acc * Fraction(rho) + x
+    return mu_coefficient(idx) * math.pi * float(acc / denominator)
+
+
+def test_reduced_elements_match_exact_rationals_up_to_contact():
+    # j < l+l' polynomials have a double zero at rho = 2, which Horner in
+    # powers of rho loses to cancellation; relative error stays small there
+    grid = [2 * i / 200 for i in range(200)]
+    for idx in ReducedIndex.admissible(6):
+        if idx.j < idx.l + idx.lp:
+            for k in range(3, 17):
+                rho = 2 * (1 - 10.0 ** -k)
+                want = _exact_reduced(idx, rho)
+                got = g_reduced(idx, rho, 1.0).value
+                assert abs(got - want) <= 1e-12 * abs(want), (idx, k)
+        want = [_exact_reduced(idx, rho) for rho in grid]
+        scale = max(map(abs, want))
+        for rho, w in zip(grid, want):
+            got = g_reduced(idx, rho, 1.0).value
+            assert abs(got - w) <= 1e-12 * scale, (idx, rho)
 
 
 def _half_gamma(n):
@@ -308,10 +341,15 @@ def test_regime_of_labels_and_rejects_nonfinite():
     bad = [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
            (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (3.0, -1.0), (3.0, math.inf)]
     idx = ReducedIndex(0, 0, 0)
+    poly = overlap_polynomial(idx, 1.0)
     for R, a in bad:
         for f in (regime_of, lambda R, a: g_reduced(idx, R, a),
                   lambda R, a: triple_bessel_overlap(idx, R, a),
-                  lambda R, a: triple_bessel_nonoverlap(idx, R, a)):
+                  lambda R, a: triple_bessel_nonoverlap(idx, R, a),
+                  lambda R, a: dataclasses.replace(poly, a=a).evaluate(R),
+                  # m != m': the element is 0 for every valid (R, a)
+                  lambda R, a: matrix_element_zaxis(
+                      MultipoleIndex(1, 0), MultipoleIndex(1, 1), R, a)):
             with pytest.raises(ValueError):
                 f(R, a)
         if not 0 < a < math.inf:

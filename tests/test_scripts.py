@@ -28,3 +28,20 @@ def test_power_law_check_rejects_short_grid(capsys):
         _load("power_law_check").main(["--R-count", "1"])
     assert exc.value.code == 2
     assert "--R-count must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("power_law_check", ["--lmax", "-1"], "--lmax must be non-negative"),
+    ("overlap_polynomials", ["--lmax", "-1"], "--lmax must be non-negative"),
+    *[(name, ["--radius", r], "--radius must be finite and positive")
+      for name in ("power_law_check", "overlap_polynomials")
+      for r in ("-1", "0", "nan", "inf")],
+    *[("power_law_check", ["--tol", t], "--tol must be finite and positive")
+      for t in ("-1", "0", "nan", "inf")],
+])
+def test_scripts_reject_input_that_checks_nothing(name, argv, message,
+                                                  capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load(name).main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
