@@ -64,7 +64,8 @@ class ReducedIndex:
         _check_integer_orders(lmax)
         if lmax < 0:
             raise ValueError(f"lmax must be non-negative, got {lmax}")
-        return [cls(l, lp, j) for l in range(lmax + 1) for lp in range(lmax + 1)
+        orders = range(lmax + 1)
+        return [cls(l, lp, j) for l in orders for lp in orders
                 for j in range(abs(l - lp), l + lp + 1, 2)]
 
 
@@ -109,7 +110,7 @@ class RadialPolynomial:
     polynomial is identically zero.  residue is the pole-cancellation
     residue of the build, always exactly 0.0: the build cancels the
     divergent and logarithmic parts in integers and raises PoleResidueError
-    when any part is left.
+    when any part is left.  evaluate raises RegimeError beyond R = 2a.
     """
 
     degree: int
@@ -296,11 +297,9 @@ def _reduced(l: int, lp: int, j: int) -> tuple:
     at contact R = 2, which the power law scales by (2a/R)^(l+l'+1).  All
     vanish (0, no coefficients, 0.0) where mu does, for odd l+l'+j.
 
-    Horner on the expanded polynomial loses the zero at contact (every
-    j < l+l' has a double one): its terms cancel to a residue of rounding
-    errors.  So (2 - rho)^k is divided out of the exact numerators N_p by
-    synthetic division, and the factor is applied in floats, where
-    2 - rho is exact for 1 <= rho <= 2."""
+    Horner on the expanded polynomial loses its zero at contact (a double
+    one for every j < l+l') to cancellation, so (2 - rho)^k is divided out
+    of the exact numerators N_p by synthetic division and applied in floats."""
     idx = ReducedIndex(l, lp, j)
     mu = mu_coefficient(idx)
     if mu == 0.0:
@@ -319,9 +318,8 @@ def _reduced(l: int, lp: int, j: int) -> tuple:
 
 def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
     """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral,
-    from the per-(l, l', j) record: the deflated polynomial
-    (2 - R/a)^k q(R/a) below contact, the stretched power law from R = 2a
-    on."""
+    from the per-(l, l', j) record: (2 - R/a)^k q(R/a) below contact, the
+    stretched power law from R = 2a on."""
     regime = regime_of(R, a)
     k, quotient, contact = _reduced(idx.l, idx.lp, idx.j)
     if regime == "overlap":
@@ -369,7 +367,7 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
 def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
     R and the direction: per multiplicity k of the zero at contact, (k, terms)
-    with per surviving j (j, weight, quotient), the weight
+    with per surviving j (j - |m'-m|, weight, quotient), the weight
     (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') and the deflated
     mu-folded overlap polynomial in R/a of _reduced, so that (2 - R/a)^k is
     applied once per group; and the stretched (j = l+l') weight times its
@@ -382,7 +380,7 @@ def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
                   * wigner_3j_float(j, l, lp, m1, m, -mp))
         if weight == 0.0 or not quotient:
             continue
-        groups.setdefault(k, []).append((j, weight, quotient))
+        groups.setdefault(k, []).append((j - abs(m1), weight, quotient))
         contact += weight * at_contact
     return tuple((k, tuple(terms)) for k, terms in groups.items()), contact
 
@@ -411,8 +409,8 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
         rho, acc = R / a, 0.0
         for k, terms in groups:
             part = 0.0
-            for j, weight, quotient in terms:
-                part += weight * _horner(quotient, rho) * column[j - abs(m1)]
+            for n, weight, quotient in terms:
+                part += weight * _horner(quotient, rho) * column[n]
             acc += (2 - rho) ** k * part
     else:
         acc = contact * (2 * a / R) ** degree * column[-1]
