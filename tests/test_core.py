@@ -230,9 +230,9 @@ def _exact_reduced(idx, rho):
     """g_reduced at a = 1 from the exact build, mu pi N(rho) / Q, with the
     polynomial summed in rationals at the float rho."""
     _, numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
-    acc = Fraction(0)
+    acc, r = Fraction(0), Fraction(rho)
     for x in reversed(numerators):
-        acc = acc * Fraction(rho) + x
+        acc = acc * r + x
     return mu_coefficient(idx) * math.pi * float(acc / denominator)
 
 
