@@ -30,8 +30,10 @@ def main(argv=None) -> int:
         ap.error("--radius must be finite and positive")
     if not 0 < args.tol < math.inf:
         ap.error("--tol must be finite and positive")
-    if args.R_start <= 2 * a:
-        ap.error("--R-start must exceed 2*radius for the power-law regime")
+    for flag, R in (("--R-start", args.R_start), ("--R-stop", args.R_stop)):
+        if not 2 * a < R < math.inf:  # also rejects NaN
+            ap.error(f"{flag} must be finite and exceed 2*radius for the "
+                     "power-law regime")
     if args.R_count < 2:
         ap.error("--R-count must be at least 2")
     grid = [args.R_start + i * (args.R_stop - args.R_start)

@@ -431,39 +431,50 @@ def _khat_angles(kvec):
     return k, math.acos(kz / k), math.atan2(ky, kx)
 
 
-def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
-    """Fourier transform of the surface multipole density:
-    4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
-    regime_of(0.0, a)  # checks the radius
-    k, theta, phi = _khat_angles(kvec)
+def _omega(lm: MultipoleIndex, k: float, theta: float, phi: float,
+           a: float) -> complex:
     l = lm.l
-    if k == 0.0:
-        return complex(math.sqrt(4 * math.pi) * a) if l == 0 else 0.0 + 0.0j
     return (4 * math.pi * a ** (l + 1) * (-1j) ** l
             * spherical_bessel_j(l, k * a)
             * spherical_harmonic(lm, theta, phi))
 
 
+def _finite(value: complex) -> complex:
+    if not cmath.isfinite(value):
+        raise OverflowError("Fourier element exceeds the float range")
+    return value
+
+
+def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
+    """Fourier transform of the surface multipole density:
+    4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
+    regime_of(0.0, a)  # checks the radius
+    k, theta, phi = _khat_angles(kvec)
+    if k == 0.0:
+        return complex(math.sqrt(4 * math.pi) * a) if lm.l == 0 else 0.0 + 0.0j
+    return _omega(lm, k, theta, phi, a)
+
+
 def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
                            kvec, a: float) -> complex:
-    """Fourier-space element (4pi)^2 (-i)^(-l+l') a^(l+l'+2)
-    j_l(ka) j_l'(ka) / k^2 * conj(Y_lm(khat)) Y_l'm'(khat)."""
+    """Fourier-space element conj(omega_hat_lm(k)) omega_hat_l'm'(k) / k^2.
+
+    Each factor is divided by k before the product, so the element stays
+    finite as k underflows wherever its true value does; OverflowError
+    when the value itself exceeds the float range."""
     regime_of(0.0, a)  # checks the radius
     k, theta, phi = _khat_angles(kvec)
     if k == 0.0:
         raise ZeroWaveVector("Fourier element diverges as 1/k^2 at k = 0")
-    l, lp = lm.l, lpmp.l
-    return ((4 * math.pi) ** 2 * (-1j) ** (lp - l) * a ** (l + lp + 2)
-            * spherical_bessel_j(l, k * a) * spherical_bessel_j(lp, k * a)
-            / (k * k)
-            * spherical_harmonic(lm, theta, phi).conjugate()
-            * spherical_harmonic(lpmp, theta, phi))
+    return _finite(_omega(lm, k, theta, phi, a).conjugate() / k
+                   * (_omega(lpmp, k, theta, phi, a) / k))
 
 
 def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
     """Fourier-space reduced element
     4 pi (-i)^(-l+l') (2j+1) sqrt((2l+1)(2l'+1)) a^(l+l'+2) (l l' j;000)
-    j_l(ka) j_l'(ka) / k^2."""
+    j_l(ka) j_l'(ka) / k^2, divided by k per Bessel factor as in
+    fourier_matrix_element (OverflowError past the float range)."""
     regime_of(0.0, a)  # checks the radius
     if not math.isfinite(k):
         raise ValueError(f"wave number must be finite, got k={k}")
@@ -473,7 +484,7 @@ def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
     tj = wigner_3j_float(l, lp, j, 0, 0, 0)
     if tj == 0.0:
         return 0.0 + 0.0j
-    return (4 * math.pi * (-1j) ** (lp - l) * (2 * j + 1)
-            * math.sqrt((2 * l + 1) * (2 * lp + 1)) * a ** (l + lp + 2)
-            * tj * spherical_bessel_j(l, k * a) * spherical_bessel_j(lp, k * a)
-            / (k * k))
+    return _finite(4 * math.pi * (-1j) ** (lp - l) * (2 * j + 1)
+                   * math.sqrt((2 * l + 1) * (2 * lp + 1)) * a ** (l + lp + 2)
+                   * tj * ((spherical_bessel_j(l, k * a) / k)
+                           * (spherical_bessel_j(lp, k * a) / k)))

@@ -241,6 +241,7 @@ def _bessel_miller(l: int, x: float) -> float:
     return out * j0 / jc if abs(j0) >= abs(j1) else out * j1 / jp
 
 
+@lru_cache(maxsize=1024, typed=True)  # typed: True misses 1's entry
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel j_l(x) for integer l >= 0 and finite x >= 0;
     j_l(0) = delta_{l,0}.
@@ -248,6 +249,8 @@ def spherical_bessel_j(l: int, x: float) -> float:
     Ascending series for x < l/2, downward Miller recurrence for
     intermediate x, plain upward recurrence once x exceeds l (where it
     is stable).  Tested to 1e-13 relative for l <= 30, x <= 1e3.
+    Memoized per (l, x), at most 1024 entries: a block of Fourier
+    elements at one |k| repeats each (l, ka) many times.
     """
     if type(l) is not int:
         _check_integer_orders(l)

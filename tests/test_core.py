@@ -30,7 +30,8 @@ from laplace_multipole.errors import (
     RegimeError,
     ZeroWaveVector,
 )
-from laplace_multipole.specfun import MultipoleIndex, wigner_3j_float
+from laplace_multipole.specfun import (MultipoleIndex, spherical_bessel_j,
+                                       wigner_3j_float)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +492,44 @@ def test_fourier_element_matches_gaunt_sum():
         got = np.array([[fourier_matrix_element(p, q, kvec, a) for q in idx]
                         for p in idx])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), kvec
+
+
+def test_fourier_block_same_cold_and_warm():
+    # memoized Bessel values change no bit of a block
+    lmax, a = 4, 1.3
+    idx = [MultipoleIndex(l, m) for l in range(lmax + 1)
+           for m in range(-l, l + 1)]
+    rng = np.random.default_rng(3)
+    kvecs = [tuple(rng.uniform(-4.0, 4.0, 3)) for _ in range(8)]
+
+    def block():
+        return [[sum(fourier_matrix_element(p, q, kv, a) for kv in kvecs)
+                 for q in idx] for p in idx]
+
+    def bits(rows):
+        return [(z.real.hex(), z.imag.hex()) for row in rows for z in row]
+
+    spherical_bessel_j.cache_clear()
+    cold = bits(block())
+    assert bits(block()) == cold
+
+
+@pytest.mark.parametrize("k", [1e-160, 1e-170, 1e-200])
+def test_fourier_elements_finite_as_k_underflows(k):
+    # dividing each factor by k keeps 1/k^2 from underflowing to 0
+    lm, idx, a = MultipoleIndex(1, 0), ReducedIndex(1, 1, 2), 1.0
+    ref = fourier_matrix_element(lm, lm, (0.0, 0.0, 1e-100), a)
+    assert ref == pytest.approx(4 * math.pi / 3, rel=1e-14)
+    assert fourier_matrix_element(lm, lm, (0.0, 0.0, k), a) == \
+        pytest.approx(ref, rel=1e-14)
+    assert g_tilde(idx, k, a) == pytest.approx(g_tilde(idx, 1e-100, a),
+                                               rel=1e-14)
+    # l = l' = 0 grows as 1/k^2: past the float range it is an error
+    s = MultipoleIndex(0, 0)
+    with pytest.raises(OverflowError):
+        fourier_matrix_element(s, s, (k, 0.0, 0.0), a)
+    with pytest.raises(OverflowError):
+        g_tilde(ReducedIndex(0, 0, 0), k, a)
 
 
 def test_fourier_element_rejects_zero_wavevector():

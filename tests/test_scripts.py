@@ -38,6 +38,12 @@ def test_power_law_check_rejects_short_grid(capsys):
       for r in ("-1", "0", "nan", "inf")],
     *[("power_law_check", ["--tol", t], "--tol must be finite and positive")
       for t in ("-1", "0", "nan", "inf")],
+    *[("power_law_check", [flag, R],
+       f"{flag} must be finite and exceed 2*radius")
+      for flag, R in (("--R-start", "nan"), ("--R-start", "inf"),
+                      ("--R-start", "2"), ("--R-stop", "nan"),
+                      ("--R-stop", "inf"), ("--R-stop", "2"),
+                      ("--R-stop", "1"))],
 ])
 def test_scripts_reject_input_that_checks_nothing(name, argv, message,
                                                   capsys):
