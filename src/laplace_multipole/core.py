@@ -4,9 +4,9 @@ Reduced elements g^j_{l,l'}(R) for two spheres of equal radius a, in the
 non-overlap (R >= 2a, power law) and overlap (R <= 2a, polynomial) regimes,
 z-axis and general-orientation canonical elements, and Fourier-space
 elements.  regime_of alone validates (R, a) and picks the regime; each
-(l, l', j) is reduced once (_reduced) to its mu-folded overlap polynomial,
-deflated by its zero at contact, and its power-law value at contact, which
-every position-space element reads.
+(l, l', j) is reduced once (_reduced) to its prefactor mu, its overlap
+polynomial deflated by its zero at contact, and its power-law value at
+contact, which every position-space closed form reads.
 
 The overlap regime is a polynomial of degree l+l'+1 in rho = R/a.  Each
 spherical Bessel function is a finite sum of x^-p e^(+-ix) with rational
@@ -186,11 +186,9 @@ def _expand(rows: list, c0: int, c1: int) -> list:
     return acc
 
 
-@lru_cache(maxsize=None)
 def _overlap_assembly(l: int, lp: int, j: int) -> tuple:
     """The overlap polynomial of int_0^inf j_j(k rho) j_l(k) j_l'(k) dk, built
-    exactly in integers: the float coefficients c_p of rho^p and the
-    integers N_p, Q with c_p = pi N_p / Q.
+    exactly in integers: N_p and Q with pi N_p / Q the coefficient of rho^p.
 
     The integrand is a finite sum of A rho^-(k1+1) k^-(n+1) e^(ikc) with
     c = s1 rho + d and n = k1+k2+k3+2.  With k^eps attached to every term,
@@ -245,9 +243,7 @@ def _overlap_assembly(l: int, lp: int, j: int) -> tuple:
     numerators = [sign * x for x in pi_part[low:low + degree + 1]]
     denominator = 2 ** (top + 2) * fact  # with the 2 of i pi sigma/2
     g = math.gcd(denominator, *numerators)
-    numerators, denominator = tuple(x // g for x in numerators), denominator // g
-    coefficients = tuple(math.pi * (x / denominator) for x in numerators)
-    return coefficients, numerators, denominator
+    return tuple(x // g for x in numerators), denominator // g
 
 
 def _horner(coefficients, t: float) -> float:
@@ -260,15 +256,16 @@ def _horner(coefficients, t: float) -> float:
 @lru_cache(maxsize=65536)
 def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
     """int_0^inf j_j(kR) j_l(ka) j_l'(ka) dk for 0 <= R <= 2a and even
-    l+l'+j (ValueError otherwise).
-
-    Horner evaluation of the cached polynomial of degree l+l'+1 in R/a,
-    whose build raises PoleResidueError when the poles fail to cancel.
-    """
+    l+l'+j (ValueError otherwise), read from the per-(l, l', j) record as
+    (2 - R/a)^k q(R/a) / a."""
     if regime_of(R, a) == "nonoverlap":
         raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
-    coefficients = _overlap_assembly(idx.l, idx.lp, idx.j)[0]
-    return _horner(coefficients, R / a) / a
+    if not idx.parity_even:
+        raise ValueError(f"overlap polynomial defined for even l+l'+j only, "
+                         f"got {idx}")
+    _, k, quotient, _ = _reduced(idx.l, idx.lp, idx.j)
+    rho = R / a
+    return (2 - rho) ** k * _horner(quotient, rho) / a
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +288,11 @@ def regime_of(R: float, a: float) -> str:
 
 @lru_cache(maxsize=None)
 def _reduced(l: int, lp: int, j: int) -> tuple:
-    """g^j_{l,l'} for a = 1, built once: the multiplicity k of the zero of
-    the overlap polynomial at contact rho = 2, the mu-folded quotient q with
-    mu c(rho) = (2 - rho)^k q(rho), and mu times the triple-Bessel integral
-    at contact R = 2, which the power law scales by (2a/R)^(l+l'+1).  All
-    vanish (0, no coefficients, 0.0) where mu does, for odd l+l'+j.
+    """The record (mu, k, q, contact) of g^j_{l,l'} = mu a^(l+l'+2) *
+    triple-Bessel integral, built once.  For a = 1 the integral is
+    (2 - rho)^k q(rho) below contact rho = 2, k the multiplicity of its zero
+    there, and contact its value at R = 2, which the power law scales by
+    (2a/R)^(l+l'+1).  Odd l+l'+j (mu = 0) gives (0.0, 0, (), 0.0).
 
     Horner on the expanded polynomial loses its zero at contact (a double
     one for every j < l+l') to cancellation, so (2 - rho)^k is divided out
@@ -303,8 +300,8 @@ def _reduced(l: int, lp: int, j: int) -> tuple:
     idx = ReducedIndex(l, lp, j)
     mu = mu_coefficient(idx)
     if mu == 0.0:
-        return 0, (), 0.0
-    _, numerators, denominator = _overlap_assembly(l, lp, j)
+        return 0.0, 0, (), 0.0
+    numerators, denominator = _overlap_assembly(l, lp, j)
     k = 0
     while not sum(x * 2 ** p for p, x in enumerate(numerators)):
         quotient, acc = [], 0  # N(rho) = (2 - rho) * quotient(rho)
@@ -312,8 +309,8 @@ def _reduced(l: int, lp: int, j: int) -> tuple:
             acc = 2 * acc + x
             quotient.append(-acc)
         numerators, k = quotient[::-1], k + 1
-    return (k, tuple(mu * (math.pi * (x / denominator)) for x in numerators),
-            mu * triple_bessel_nonoverlap(idx, 2.0, 1.0))
+    return (mu, k, tuple(math.pi * (x / denominator) for x in numerators),
+            triple_bessel_nonoverlap(idx, 2.0, 1.0))
 
 
 def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
@@ -321,13 +318,13 @@ def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
     from the per-(l, l', j) record: (2 - R/a)^k q(R/a) below contact, the
     stretched power law from R = 2a on."""
     regime = regime_of(R, a)
-    k, quotient, contact = _reduced(idx.l, idx.lp, idx.j)
+    mu, k, quotient, contact = _reduced(idx.l, idx.lp, idx.j)
     if regime == "overlap":
         rho = R / a
         value = (2 - rho) ** k * _horner(quotient, rho)
     else:
         value = contact * (2 * a / R) ** idx.degree
-    return ReducedElement(idx, R, a, a ** idx.degree * value, regime)
+    return ReducedElement(idx, R, a, mu * a ** idx.degree * value, regime)
 
 
 def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
@@ -337,8 +334,8 @@ def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     PoleResidueError for any other.  Even l+l'+j only (ValueError)."""
     regime_of(0.0, a)
     mu = mu_coefficient(idx)
-    coefficients = tuple(mu * c for c in
-                         _overlap_assembly(idx.l, idx.lp, idx.j)[0])
+    numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
+    coefficients = tuple(mu * (math.pi * (x / denominator)) for x in numerators)
     return RadialPolynomial(len(coefficients) - 1, coefficients,
                             a ** idx.degree, a, residue=0.0)
 
@@ -368,17 +365,17 @@ def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
     R and the direction: per multiplicity k of the zero at contact, (k, terms)
     with per surviving j (j - |m'-m|, weight, quotient), the weight
-    (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') and the deflated
-    mu-folded overlap polynomial in R/a of _reduced, so that (2 - R/a)^k is
-    applied once per group; and the stretched (j = l+l') weight times its
-    contact value for a = 1, which the power law scales by (2a/R)^(l+l'+1)."""
+    (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu and the deflated
+    overlap polynomial in R/a of _reduced, so that (2 - R/a)^k is applied
+    once per group; and the stretched (j = l+l') weight times its contact
+    value for a = 1, which the power law scales by (2a/R)^(l+l'+1)."""
     m1 = mp - m
     groups, contact = {}, 0.0
     for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
-        k, quotient, at_contact = _reduced(l, lp, j)
+        mu, k, quotient, at_contact = _reduced(l, lp, j)
         weight = ((-1 if mp % 2 else 1) * math.sqrt(4 * math.pi / (2 * j + 1))
-                  * wigner_3j_float(j, l, lp, m1, m, -mp))
-        if weight == 0.0 or not quotient:
+                  * wigner_3j_float(j, l, lp, m1, m, -mp) * mu)
+        if weight == 0.0:
             continue
         groups.setdefault(k, []).append((j - abs(m1), weight, quotient))
         contact += weight * at_contact
@@ -449,10 +446,7 @@ def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
     """Fourier transform of the surface multipole density:
     4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
     regime_of(0.0, a)  # checks the radius
-    k, theta, phi = _khat_angles(kvec)
-    if k == 0.0:
-        return complex(math.sqrt(4 * math.pi) * a) if lm.l == 0 else 0.0 + 0.0j
-    return _omega(lm, k, theta, phi, a)
+    return _omega(lm, *_khat_angles(kvec), a)
 
 
 def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
@@ -471,8 +465,7 @@ def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 
 
 def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
-    """Fourier-space reduced element
-    4 pi (-i)^(-l+l') (2j+1) sqrt((2l+1)(2l'+1)) a^(l+l'+2) (l l' j;000)
+    """Fourier-space reduced element 2 pi^2 (-i)^j mu a^(l+l'+2)
     j_l(ka) j_l'(ka) / k^2, divided by k per Bessel factor as in
     fourier_matrix_element (OverflowError past the float range)."""
     regime_of(0.0, a)  # checks the radius
@@ -480,11 +473,8 @@ def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
         raise ValueError(f"wave number must be finite, got k={k}")
     if k <= 0.0:
         raise ZeroWaveVector("g_tilde requires k > 0")
-    l, lp, j = idx.l, idx.lp, idx.j
-    tj = wigner_3j_float(l, lp, j, 0, 0, 0)
-    if tj == 0.0:
-        return 0.0 + 0.0j
-    return _finite(4 * math.pi * (-1j) ** (lp - l) * (2 * j + 1)
-                   * math.sqrt((2 * l + 1) * (2 * lp + 1)) * a ** (l + lp + 2)
-                   * tj * ((spherical_bessel_j(l, k * a) / k)
-                           * (spherical_bessel_j(lp, k * a) / k)))
+    l, lp = idx.l, idx.lp
+    return _finite(2 * math.pi ** 2 * (-1j) ** idx.j * mu_coefficient(idx)
+                   * a ** (l + lp + 2)
+                   * ((spherical_bessel_j(l, k * a) / k)
+                      * (spherical_bessel_j(lp, k * a) / k)))

@@ -46,11 +46,15 @@ class MultipoleIndex:
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """z-y-z Euler angles in radians; any real values are accepted."""
+    """z-y-z Euler angles in radians; any finite real values are accepted."""
 
     alpha: float
     beta: float
     gamma: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
+            raise ValueError(f"Euler angles must be finite, got {self}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,8 @@ def wigner_small_d(l: int, m: int, mp: int, beta: float) -> float:
     _check_integer_orders(l, m, mp)
     if abs(m) > l or abs(mp) > l:
         raise ValueError("require |m|, |mp| <= l")
+    if not math.isfinite(beta):
+        raise ValueError(f"angle must be finite, got beta={beta!r}")
     f = math.factorial
     pref = math.sqrt(f(l + m) * f(l - m) * f(l + mp) * f(l - mp))
     c = math.cos(beta / 2.0)
@@ -187,7 +193,11 @@ def _legendre_column(m: int, lmax: int, theta: float) -> list:
 
 
 def spherical_harmonic(idx: MultipoleIndex, theta: float, phi: float) -> complex:
-    """Y_lm(theta, phi), Condon-Shortley phase; Y_lm(0, .) = delta_{m,0} sqrt((2l+1)/4pi)."""
+    """Y_lm(theta, phi), Condon-Shortley phase; Y_lm(0, .) = delta_{m,0} sqrt((2l+1)/4pi).
+    ValueError unless both angles are finite."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"angles must be finite, got theta={theta!r}, "
+                         f"phi={phi!r}")
     return _legendre_column(idx.m, idx.l, theta)[-1] * cmath.exp(1j * idx.m * phi)
 
 

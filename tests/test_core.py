@@ -227,32 +227,50 @@ def test_overlap_finite_up_to_contact():
         assert abs(got - want) / max(abs(want), 1e-2) <= 1e-10
 
 
-def _exact_reduced(idx, rho):
-    """g_reduced at a = 1 from the exact build, mu pi N(rho) / Q, with the
-    polynomial summed in rationals at the float rho."""
-    _, numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
+def _exact_reduced(mu, numerators, denominator, rho):
+    """g_reduced at a = 1 from the exact build (N_p, Q), mu pi N(rho) / Q,
+    with the polynomial summed in rationals at the float rho."""
     acc, r = Fraction(0), Fraction(rho)
     for x in reversed(numerators):
         acc = acc * r + x
-    return mu_coefficient(idx) * math.pi * float(acc / denominator)
+    return mu * math.pi * float(acc / denominator)
 
 
 def test_reduced_elements_match_exact_rationals_up_to_contact():
     # j < l+l' polynomials have a double zero at rho = 2, which Horner in
-    # powers of rho loses to cancellation; relative error stays small there
+    # powers of rho loses to cancellation; relative error stays small there.
+    # g_reduced and mu times the triple-Bessel integral are both checked,
+    # below contact and on the power law from contact on
     grid = [2 * i / 200 for i in range(200)]
+    beyond = [2.0, 2 * (1 + 1e-12)] + [2 + 8 * i / 40 for i in range(1, 41)]
     for idx in ReducedIndex.admissible(6):
+        mu = mu_coefficient(idx)
+        numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
+
+        def inside(rho):
+            return (g_reduced(idx, rho, 1.0).value,
+                    mu * triple_bessel_overlap(idx, rho, 1.0))
+
         if idx.j < idx.l + idx.lp:
             for k in range(3, 17):
                 rho = 2 * (1 - 10.0 ** -k)
-                want = _exact_reduced(idx, rho)
-                got = g_reduced(idx, rho, 1.0).value
-                assert abs(got - want) <= 1e-12 * abs(want), (idx, k)
-        want = [_exact_reduced(idx, rho) for rho in grid]
+                want = _exact_reduced(mu, numerators, denominator, rho)
+                for got in inside(rho):
+                    assert abs(got - want) <= 1e-12 * abs(want), (idx, k)
+        want = [_exact_reduced(mu, numerators, denominator, rho)
+                for rho in grid]
         scale = max(map(abs, want))
         for rho, w in zip(grid, want):
-            got = g_reduced(idx, rho, 1.0).value
-            assert abs(got - w) <= 1e-12 * scale, (idx, rho)
+            for got in inside(rho):
+                assert abs(got - w) <= 1e-12 * scale, (idx, rho)
+        contact = Fraction(sum(x * 2 ** p for p, x in enumerate(numerators)),
+                           denominator)
+        for rho in beyond:
+            want = mu * math.pi * float(
+                contact * (2 / Fraction(rho)) ** idx.degree)
+            for got in (g_reduced(idx, rho, 1.0).value,
+                        mu * triple_bessel_nonoverlap(idx, rho, 1.0)):
+                assert abs(got - want) <= 1e-12 * abs(want), (idx, rho)
 
 
 def _half_gamma(n):
@@ -264,7 +282,7 @@ def test_overlap_polynomial_exact_identities():
     # the exact build gives c_p = pi N_p / Q; check it in rationals at R = 2a
     for idx in ReducedIndex.admissible(8):
         l, lp, j = idx.l, idx.lp, idx.j
-        _, numerators, denominator = _overlap_assembly(l, lp, j)
+        numerators, denominator = _overlap_assembly(l, lp, j)
         assert overlap_polynomial(idx, 1.0).residue == 0.0
         assert len(numerators) == l + lp + 2 and numerators[-1] != 0, idx
         contact = Fraction(sum(n * 2 ** p for p, n in enumerate(numerators)),
@@ -280,7 +298,7 @@ def test_overlap_polynomial_exact_identities():
     goldens = {(1, 1, 0): ((16, -12, 0, 1), 96),
                (2, 3, 3): ((0, 0, 16, 0, -8, 0, 1), 1024)}
     for (l, lp, j), (numerators, denominator) in goldens.items():
-        _, got, q = _overlap_assembly(l, lp, j)
+        got, q = _overlap_assembly(l, lp, j)
         assert [Fraction(n, q) for n in got] == \
             [Fraction(n, denominator) for n in numerators]
 
@@ -291,7 +309,7 @@ def test_overlap_build_rejects_uncancelled_parts(monkeypatch):
     monkeypatch.setattr(core, "_bessel_terms", lambda n: terms(n)[:-1])
     for l, lp, j in [(0, 0, 0), (1, 1, 0), (2, 3, 3)]:
         with pytest.raises(PoleResidueError):
-            _overlap_assembly.__wrapped__(l, lp, j)
+            _overlap_assembly(l, lp, j)
 
 
 def test_exchange_symmetry():

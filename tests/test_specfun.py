@@ -261,6 +261,22 @@ def test_harmonic_matches_scipy():
                     assert abs(got - want) <= 1e-13, (l, m, theta, phi)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("angle, call", [
+    ("theta", lambda x: spherical_harmonic(MultipoleIndex(1, 1), x, 0.0)),
+    ("phi", lambda x: spherical_harmonic(MultipoleIndex(1, 0), 0.3, x)),
+    ("beta", lambda x: wigner_small_d(1, 0, 0, x)),
+    ("alpha", lambda x: wigner_D(1, 0, 1, EulerAngles(x, 0.1, 0.2))),
+    ("beta", lambda x: wigner_D(1, 0, 1, EulerAngles(0.0, x, 0.2))),
+    ("gamma", lambda x: wigner_D(1, 0, 1, EulerAngles(0.0, 0.1, x))),
+], ids=["Y-theta", "Y-phi", "d-beta", "D-alpha", "D-beta", "D-gamma"])
+def test_angles_must_be_finite(angle, call, bad):
+    # a non-finite angle is a ValueError naming it, not NaN or a math
+    # domain error from cos and sin
+    with pytest.raises(ValueError, match=f"{angle}={bad!r}"):
+        call(bad)
+
+
 # ---------------------------------------------------------------------------
 # spherical Bessel functions
 # ---------------------------------------------------------------------------
