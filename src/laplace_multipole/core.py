@@ -69,6 +69,15 @@ class ReducedIndex:
                 for j in range(abs(l - lp), l + lp + 1, 2)]
 
 
+def _spherical(vec) -> tuple:
+    """(r, theta, phi) of a 3-vector; ValueError for a non-finite component."""
+    x, y, z = (float(c) for c in vec)
+    if not all(map(math.isfinite, (x, y, z))):
+        raise ValueError(f"vector must be finite, got {tuple(vec)}")
+    r = math.hypot(x, y, z)
+    return r, math.acos(z / r) if r > 0 else 0.0, math.atan2(y, x)
+
+
 @dataclass(frozen=True)
 class SphereGeometry:
     """Separation of the two sphere centres in spherical coordinates plus radius."""
@@ -85,11 +94,7 @@ class SphereGeometry:
 
     @classmethod
     def from_vector(cls, Rvec, a: float) -> "SphereGeometry":
-        x, y, z = (float(c) for c in Rvec)
-        R = math.hypot(x, y, z)
-        theta = math.acos(z / R) if R > 0 else 0.0
-        phi = math.atan2(y, x)
-        return cls(R=R, theta=theta, phi=phi, a=a)
+        return cls(*_spherical(Rvec), a=a)
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,6 @@ def mu_coefficient(idx: ReducedIndex) -> float:
     mu = (2/pi) (-i)^(-l+l'+j) (-1)^j (2j+1) sqrt((2l+1)(2l'+1)) (l l' j; 0 0 0);
     real because the 3-j forces l+l'+j even, and exactly zero otherwise.
     """
-    if not idx.parity_even:
-        return 0.0
     tj = wigner_3j(idx.l, idx.lp, idx.j, 0, 0, 0)
     if not tj:
         return 0.0
@@ -363,23 +366,23 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
 @lru_cache(maxsize=None)
 def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
-    R and the direction: per multiplicity k of the zero at contact, (k, terms)
-    with per surviving j (j - |m'-m|, weight, quotient), the weight
+    R and the direction: (terms, contact), with per surviving j the term
+    (j - |m'-m|, weight, k, quotient), the weight
     (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu and the deflated
-    overlap polynomial in R/a of _reduced, so that (2 - R/a)^k is applied
-    once per group; and the stretched (j = l+l') weight times its contact
-    value for a = 1, which the power law scales by (2a/R)^(l+l'+1)."""
+    overlap polynomial (2 - R/a)^k quotient(R/a) of _reduced; and the
+    stretched (j = l+l') weight times its contact value for a = 1, which the
+    power law scales by (2a/R)^(l+l'+1)."""
     m1 = mp - m
-    groups, contact = {}, 0.0
+    terms, contact = [], 0.0
     for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
         mu, k, quotient, at_contact = _reduced(l, lp, j)
         weight = ((-1 if mp % 2 else 1) * math.sqrt(4 * math.pi / (2 * j + 1))
                   * wigner_3j_float(j, l, lp, m1, m, -mp) * mu)
         if weight == 0.0:
             continue
-        groups.setdefault(k, []).append((j - abs(m1), weight, quotient))
+        terms.append((j - abs(m1), weight, k, quotient))
         contact += weight * at_contact
-    return tuple((k, tuple(terms)) for k, terms in groups.items()), contact
+    return tuple(terms), contact
 
 
 def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
@@ -397,18 +400,15 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
     overlap regime, or the stretched power law from R = 2a on, and one
     Legendre column, since every term shares m'-m."""
     l, lp, m1 = lm.l, lpmp.l, lpmp.m - lm.m
-    groups, contact = _channel_plan(l, lm.m, lp, lpmp.m)
-    if not groups:
+    terms, contact = _channel_plan(l, lm.m, lp, lpmp.m)
+    if not terms:
         return 0.0 + 0.0j
     R, a, degree = geom.R, geom.a, l + lp + 1
     column = _legendre_column(m1, l + lp, geom.theta)
     if regime_of(R, a) == "overlap":
         rho, acc = R / a, 0.0
-        for k, terms in groups:
-            part = 0.0
-            for n, weight, quotient in terms:
-                part += weight * _horner(quotient, rho) * column[n]
-            acc += (2 - rho) ** k * part
+        for n, weight, k, quotient in terms:
+            acc += weight * (2 - rho) ** k * _horner(quotient, rho) * column[n]
     else:
         acc = contact * (2 * a / R) ** degree * column[-1]
     return a ** degree * acc * cmath.exp(1j * m1 * geom.phi)
@@ -417,16 +417,6 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 # ---------------------------------------------------------------------------
 # Fourier space
 # ---------------------------------------------------------------------------
-
-def _khat_angles(kvec):
-    kx, ky, kz = (float(c) for c in kvec)
-    if not all(map(math.isfinite, (kx, ky, kz))):
-        raise ValueError(f"wave vector must be finite, got {tuple(kvec)}")
-    k = math.hypot(kx, ky, kz)
-    if k == 0.0:
-        return 0.0, 0.0, 0.0
-    return k, math.acos(kz / k), math.atan2(ky, kx)
-
 
 def _omega(lm: MultipoleIndex, k: float, theta: float, phi: float,
            a: float) -> complex:
@@ -446,7 +436,7 @@ def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
     """Fourier transform of the surface multipole density:
     4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
     regime_of(0.0, a)  # checks the radius
-    return _omega(lm, *_khat_angles(kvec), a)
+    return _omega(lm, *_spherical(kvec), a)
 
 
 def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
@@ -457,7 +447,7 @@ def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
     finite as k underflows wherever its true value does; OverflowError
     when the value itself exceeds the float range."""
     regime_of(0.0, a)  # checks the radius
-    k, theta, phi = _khat_angles(kvec)
+    k, theta, phi = _spherical(kvec)
     if k == 0.0:
         raise ZeroWaveVector("Fourier element diverges as 1/k^2 at k = 0")
     return _finite(_omega(lm, k, theta, phi, a).conjugate() / k

@@ -94,13 +94,11 @@ def _surface_integral(l: int, lp: int, m: int, R: float, a: float,
     # cos(theta') = +R/2a, u = 0
     if R < 2 * a:
         th_star = math.acos(-R / (2 * a))
-        th, wth = _graded_mesh(0.0, math.pi, th_star, n, levels)
-        tp, wtp = _graded_mesh(0.0, math.pi, math.pi - th_star, n, levels)
-        uu, wu = _graded_mesh(0.0, math.pi, 0.0, n, levels)
     else:
-        th, wth = _graded_mesh(0.0, math.pi, math.pi, n, max(levels // 2, 4))
-        tp, wtp = _graded_mesh(0.0, math.pi, 0.0, n, max(levels // 2, 4))
-        uu, wu = _graded_mesh(0.0, math.pi, 0.0, n, max(levels // 2, 4))
+        th_star, levels = math.pi, max(levels // 2, 4)
+    th, wth = _graded_mesh(0.0, math.pi, th_star, n, levels)
+    tp, wtp = _graded_mesh(0.0, math.pi, math.pi - th_star, n, levels)
+    uu, wu = _graded_mesh(0.0, math.pi, 0.0, n, levels)
     f_th = _theta_profile(l, m, th) * np.sin(th) * wth
     f_tp = _theta_profile(lp, m, tp) * np.sin(tp) * wtp
     f_u = np.cos(m * uu) * wu
@@ -293,10 +291,11 @@ def _panel_integrate(f, lo: float, hi: float, n: int) -> complex:
 
 
 def _oscillatory_integral(f, freq: float, start: float, K0: float, n: int,
-                          accel_panels: int = 48):
-    """int_start^inf f, with f oscillating at frequency freq: direct
-    half-period panels to beyond K0, then accelerated summation of
-    further panels; error estimated by shortening the accelerated run."""
+                          name: str, head: complex = 0j) -> complex:
+    """head + int_start^inf f, with f oscillating at frequency freq: direct
+    half-period panels to beyond K0, then accelerated summation of 48
+    further panels.  TailTooLarge when the error estimate, from shortening
+    the accelerated run, is not negligible against the value."""
     width = math.pi / freq
     ndirect = max(int(math.ceil((K0 - start) / width)), 2)
     total = 0.0 + 0.0j
@@ -306,10 +305,15 @@ def _oscillatory_integral(f, freq: float, start: float, K0: float, n: int,
     base = start + ndirect * width
     tail_terms = np.array(
         [_panel_integrate(f, base + p * width, base + (p + 1) * width, n)
-         for p in range(accel_panels)])
+         for p in range(48)])
     tail = complex(_euler_sum(tail_terms))
     est = abs(tail - complex(_euler_sum(tail_terms[:-8])))
-    return total + tail, est
+    val = total + tail + head
+    if est > 1e-6 * max(abs(val), 1e-300):
+        raise TailTooLarge(
+            f"{name} tail estimate {est:.3e} not negligible "
+            f"against {abs(val):.3e}")
+    return val
 
 
 def hankel_forward(idx: ReducedIndex, k: float, a: float, g_samples,
@@ -334,13 +338,8 @@ def hankel_forward(idx: ReducedIndex, k: float, a: float, g_samples,
     for p in range(4):
         head += _panel_integrate(f, 0.5 * p * a, 0.5 * (p + 1) * a,
                                  spec.node_count)
-    val, est = _oscillatory_integral(f, k, 2 * a, 2 * a + 8 * math.pi / k,
-                                     spec.node_count)
-    val = val + head
-    if est > 1e-6 * max(abs(val), 1e-300):
-        raise TailTooLarge(
-            f"forward-transform tail estimate {est:.3e} not negligible "
-            f"against {abs(val):.3e}")
+    val = _oscillatory_integral(f, k, 2 * a, 2 * a + 8 * math.pi / k,
+                                spec.node_count, "forward-transform", head)
     return 4 * math.pi * (-1j) ** j * val
 
 
@@ -357,10 +356,7 @@ def hankel_inverse(idx: ReducedIndex, R: float, a: float, gtilde_samples,
         return k * k * spherical_jn(j, k * R) * complex(gtilde_samples(k))
 
     K0 = spec.k_max / a
-    val, est = _oscillatory_integral(f, R + 2 * a, 0.0, K0, spec.node_count)
-    if est > 1e-6 * max(abs(val), 1e-300):
-        raise TailTooLarge(
-            f"inverse-transform tail estimate {est:.3e} not negligible "
-            f"against {abs(val):.3e}")
+    val = _oscillatory_integral(f, R + 2 * a, 0.0, K0, spec.node_count,
+                                "inverse-transform")
     out = (1j) ** j / (2 * math.pi ** 2) * val
     return out.real

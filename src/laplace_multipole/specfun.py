@@ -133,25 +133,29 @@ def wigner_3j_float(l1, l2, l3, m1, m2, m3) -> float:
 # ---------------------------------------------------------------------------
 
 def wigner_small_d(l: int, m: int, mp: int, beta: float) -> float:
-    """Small Wigner matrix d^l_{m,mp}(beta); d^l_{m,mp}(0) = delta_{m,mp}."""
+    """Small Wigner matrix d^l_{m,mp}(beta); d^l_{m,mp}(0) = delta_{m,mp}.
+
+    d = +-sqrt(C(2l-n, n+p) / C(n+q, q)) sin^p(beta/2) cos^q(beta/2)
+    P_n^(p,q)(cos beta) with n = min(l+-m, l+-mp), p = |m-mp| and
+    q = 2(l-n)-p; the sign is (-1)^(m-mp) for n in {l+mp, l-m}.  The Jacobi
+    polynomial comes from its three-term recurrence (DLMF 18.9.1), which
+    keeps full accuracy where the alternating sum over k cancels."""
     _check_integer_orders(l, m, mp)
     if abs(m) > l or abs(mp) > l:
         raise ValueError("require |m|, |mp| <= l")
     if not math.isfinite(beta):
         raise ValueError(f"angle must be finite, got beta={beta!r}")
-    f = math.factorial
-    pref = math.sqrt(f(l + m) * f(l - m) * f(l + mp) * f(l - mp))
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    kmin = max(0, mp - m)
-    kmax = min(l + mp, l - m)
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        den = f(l + mp - k) * f(k) * f(l - m - k) * f(k - mp + m)
-        total += ((-1) ** (k - mp + m)
-                  * c ** (2 * l + mp - m - 2 * k)
-                  * s ** (2 * k + m - mp)) / den
-    return pref * total
+    n, p = min(l + m, l - m, l + mp, l - mp), abs(m - mp)
+    q, x = 2 * (l - n) - p, math.cos(beta)
+    jac, prev = (((p + q + 2) * x + p - q) / 2, 1.0) if n else (1.0, 0.0)
+    for i in range(1, n):  # P_{i+1} from P_i and P_{i-1}
+        s = 2 * i + p + q
+        prev, jac = jac, ((s + 1) * (s * (s + 2) * x + p * p - q * q) * jac
+                          - 2 * (i + p) * (i + q) * (s + 2) * prev) / (
+                              2 * (i + 1) * (i + p + q + 1) * s)
+    sign = -1 if n in (l + mp, l - m) and (m - mp) % 2 else 1
+    return (sign * math.sqrt(math.comb(2 * l - n, n + p) / math.comb(n + q, q))
+            * math.sin(beta / 2) ** p * math.cos(beta / 2) ** q * jac)
 
 
 def wigner_D(l: int, m: int, mp: int, angles: EulerAngles) -> complex:

@@ -7,6 +7,7 @@ before asserting, so a verbose run doubles as an acceptance report.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from laplace_multipole.cli import main as cli_main
@@ -248,3 +249,51 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
               f"verify-identical={verify_equal} exit-codes={codes_ok} "
               f"{'PASS' if ok else 'FAIL'}")
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# 10. two conducting spheres
+# ---------------------------------------------------------------------------
+
+def _kelvin_capacitance(ratio, terms=200_000):
+    """Capacitance of two unit spheres at potential 1, centres ratio apart,
+    in units of 4 pi eps0 a, by Kelvin's image series: an image charge q at
+    x from one centre gives -q/(ratio - x) at 1/(ratio - x) in the other."""
+    q, x, total = 1.0, 0.0, 0.0
+    for _ in range(terms):
+        total += q
+        q, x = -q / (ratio - x), 1.0 / (ratio - x)
+    return 2 * total
+
+
+def test_criterion_10_two_sphere_capacitance():
+    # Galerkin system for the surface charge Y_lm coefficients c (sphere at
+    # the origin) and d (sphere at R e_z) at unit potential; entries divided
+    # by a^(l+l'), so the self blocks are G(0) / a^(l+l') = a / (2l+1)
+    a, lmax = 2.5, 8
+    idx = [MultipoleIndex(l, m) for l in range(lmax + 1)
+           for m in range(-l, l + 1)]
+
+    def block(R, theta):
+        geom = SphereGeometry(R, theta, 0.0, a)
+        return np.array([[matrix_element(p, q, geom) / a ** (p.l + q.l)
+                          for q in idx] for p in idx])
+
+    self_block = block(0.0, 0.0)
+    want = np.diag([a / (2 * p.l + 1) for p in idx])
+    assert np.max(np.abs(self_block - want)) <= 1e-14 * a
+    n = len(idx)
+    rhs = np.zeros(2 * n)
+    rhs[0] = rhs[n] = math.sqrt(4 * math.pi)
+    # measured relative errors at lmax 8: 0, 2.7e-11, 1.8e-7 and 9.9e-7
+    for ratio, tol in ((6.0, 1e-14), (3.0, 3e-10), (2.2, 2e-6), (2.0, 1e-5)):
+        R = ratio * a
+        system = np.block([[self_block, block(R, 0.0)],
+                           [block(R, math.pi), self_block]])
+        c = np.linalg.solve(system, rhs)
+        got = (a * a * math.sqrt(4 * math.pi) * (c[0] + c[n])
+               / (4 * math.pi * a))
+        want = 2 * math.log(2) if ratio == 2.0 else _kelvin_capacitance(ratio)
+        assert abs(got.imag) <= 1e-14 * abs(want)
+        _report(10, f"two-sphere-capacitance R={ratio:g}a",
+                abs(got.real - want) / want, tol)

@@ -3,9 +3,11 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
 from laplace_multipole import core
@@ -271,6 +273,44 @@ def test_reduced_elements_match_exact_rationals_up_to_contact():
             for got in (g_reduced(idx, rho, 1.0).value,
                         mu * triple_bessel_nonoverlap(idx, rho, 1.0)):
                 assert abs(got - want) <= 1e-12 * abs(want), (idx, rho)
+
+
+@lru_cache(maxsize=None)
+def _exact_record(idx):
+    """mu, (N_p, Q) and the 200-point grid scale of the fixed-grid test."""
+    mu = mu_coefficient(idx)
+    numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
+    scale = max(abs(_exact_reduced(mu, numerators, denominator, 2 * i / 200))
+                for i in range(200))
+    return mu, numerators, denominator, scale
+
+
+_near_contact = st.builds(lambda k, side: 2 * (1 + side * 10.0 ** -k),
+                          st.integers(1, 16), st.sampled_from((-1, 1)))
+
+
+@given(st.sampled_from(ReducedIndex.admissible(6)),
+       st.one_of(st.floats(0.0, 10.0), _near_contact))
+@settings(max_examples=300, deadline=None)
+def test_reduced_elements_match_exact_rationals_sampled(idx, rho):
+    # the fixed-grid bounds at drawn separations, dense near contact:
+    # relative from rho = 2(1 - 1e-3) on, against the grid scale below it
+    mu, numerators, denominator, scale = _exact_record(idx)
+    if rho < 2.0:
+        want = _exact_reduced(mu, numerators, denominator, rho)
+        bound = 1e-12 * (abs(want) if rho >= 2 * (1 - 1e-3) else scale)
+        got = (g_reduced(idx, rho, 1.0).value,
+               mu * triple_bessel_overlap(idx, rho, 1.0))
+    else:
+        contact = Fraction(sum(x * 2 ** p for p, x in enumerate(numerators)),
+                           denominator)
+        want = mu * math.pi * float(
+            contact * (2 / Fraction(rho)) ** idx.degree)
+        bound = 1e-12 * abs(want)
+        got = (g_reduced(idx, rho, 1.0).value,
+               mu * triple_bessel_nonoverlap(idx, rho, 1.0))
+    for value in got:
+        assert abs(value - want) <= bound, (idx, rho, value, want)
 
 
 def _half_gamma(n):

@@ -121,6 +121,22 @@ def test_small_d_rows_normalized(l, beta):
         assert row == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("l", [30, 50, 58, 100])
+def test_small_d_high_order(l):
+    # d^l_{m0}(beta) = sqrt(4 pi/(2l+1)) Y_lm(beta, 0) for every m; the
+    # alternating sum over k loses digits from l ~ 20 and its factorials
+    # overflow the float range from l = 50
+    beta = 1.1
+    for m in range(-l, l + 1):
+        want = (math.sqrt(4 * math.pi / (2 * l + 1))
+                * sph_harm_y(l, m, beta, 0.0).real)
+        assert abs(wigner_small_d(l, m, 0, beta) - want) <= 1e-13, m
+    for m in (-l, -l // 2, 0, 1, l):
+        row = sum(wigner_small_d(l, m, mp, beta) ** 2
+                  for mp in range(-l, l + 1))
+        assert abs(row - 1.0) <= 1e-12, m
+
+
 @given(st.integers(0, 4),
        st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False),
        st.floats(-3, 3, allow_nan=False))
