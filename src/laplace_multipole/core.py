@@ -25,10 +25,11 @@ from functools import lru_cache
 
 from .errors import PoleResidueError, RegimeError, ZeroWaveVector
 from .specfun import (MultipoleIndex, _check_integer_orders,
-                      _legendre_column, spherical_bessel_j,
-                      spherical_harmonic, wigner_3j, wigner_3j_float)
+                      _legendre_column, spherical_bessel_j, wigner_3j,
+                      wigner_3j_float)
 
 _SQRT_PI3 = math.pi ** 1.5
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n at n % 4
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,11 @@ class ReducedIndex:
 
 
 def _spherical(vec) -> tuple:
-    """(r, theta, phi) of a 3-vector; ValueError for a non-finite component."""
-    x, y, z = (float(c) for c in vec)
-    if not all(map(math.isfinite, (x, y, z))):
-        raise ValueError(f"vector must be finite, got {tuple(vec)}")
+    """(r, theta, phi) of a 3-vector; ValueError unless its length is finite."""
+    x, y, z = map(float, vec)
     r = math.hypot(x, y, z)
+    if not math.isfinite(r):
+        raise ValueError(f"vector must have a finite length, got {tuple(vec)}")
     return r, math.acos(z / r) if r > 0 else 0.0, math.atan2(y, x)
 
 
@@ -144,8 +145,7 @@ def mu_coefficient(idx: ReducedIndex) -> float:
     tj = wigner_3j(idx.l, idx.lp, idx.j, 0, 0, 0)
     if not tj:
         return 0.0
-    e = -idx.l + idx.lp + idx.j  # even here
-    phase = (-1 if (e // 2) % 2 else 1) * (-1) ** idx.j
+    phase = _I_POWERS[(idx.l - idx.lp + idx.j) % 4].real  # (-i)^(-l+l'+j) (-1)^j
     return (2.0 / math.pi * phase * (2 * idx.j + 1)
             * math.sqrt((2 * idx.l + 1) * (2 * idx.lp + 1)) * tj.to_float())
 
@@ -403,8 +403,8 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
     terms, contact = _channel_plan(l, lm.m, lp, lpmp.m)
     if not terms:
         return 0.0 + 0.0j
-    R, a, degree = geom.R, geom.a, l + lp + 1
-    column = _legendre_column(m1, l + lp, geom.theta)
+    R, a, degree, theta = geom.R, geom.a, l + lp + 1, geom.theta
+    column = _legendre_column(m1, l + lp, math.cos(theta), abs(math.sin(theta)))
     if regime_of(R, a) == "overlap":
         rho, acc = R / a, 0.0
         for n, weight, k, quotient in terms:
@@ -418,12 +418,19 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 # Fourier space
 # ---------------------------------------------------------------------------
 
-def _omega(lm: MultipoleIndex, k: float, theta: float, phi: float,
-           a: float) -> complex:
-    l = lm.l
-    return (4 * math.pi * a ** (l + 1) * (-1j) ** l
-            * spherical_bessel_j(l, k * a)
-            * spherical_harmonic(lm, theta, phi))
+def _j_over_k(l: int, k: float, a: float) -> float:
+    """j_l(ka) / k; below ka = 1e-8, where j_l(ka) = (ka)^l / (2l+1)!! to the
+    last bit, formed with ka / k = a first, so no subnormal j_l is divided."""
+    x = k * a
+    if x >= 1e-8 or not l:
+        return spherical_bessel_j(l, x) / k
+    return math.prod((x / (2 * i + 1) for i in range(2, l + 1)), start=a / 3)
+
+
+def _omega_real(lm, bessel: float, x: float, s: float, a: float) -> float:
+    """4 pi a^(l+1) bessel Y_lm(theta, 0) at x = cos(theta), s = sin(theta)."""
+    return (4 * math.pi * a ** (lm.l + 1) * bessel
+            * _legendre_column(lm.m, lm.l, x, s)[-1])
 
 
 def _finite(value: complex) -> complex:
@@ -436,22 +443,26 @@ def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
     """Fourier transform of the surface multipole density:
     4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
     regime_of(0.0, a)  # checks the radius
-    return _omega(lm, *_spherical(kvec), a)
+    k, theta, phi = _spherical(kvec)
+    return _I_POWERS[-lm.l % 4] * cmath.exp(1j * lm.m * phi) * _omega_real(
+        lm, spherical_bessel_j(lm.l, k * a), math.cos(theta), math.sin(theta), a)
 
 
 def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
                            kvec, a: float) -> complex:
-    """Fourier-space element conj(omega_hat_lm(k)) omega_hat_l'm'(k) / k^2.
-
-    Each factor is divided by k before the product, so the element stays
-    finite as k underflows wherever its true value does; OverflowError
-    when the value itself exceeds the float range."""
+    """Fourier-space element conj(omega_hat_lm(k)) omega_hat_l'm'(k) / k^2 from
+    one conversion of k, one cos and sin of theta and one phase i^(l-l')
+    e^(i(m'-m)phi).  Each factor is divided by k first, so the element is
+    finite as k underflows where its true value is; OverflowError past floats."""
     regime_of(0.0, a)  # checks the radius
     k, theta, phi = _spherical(kvec)
     if k == 0.0:
         raise ZeroWaveVector("Fourier element diverges as 1/k^2 at k = 0")
-    return _finite(_omega(lm, k, theta, phi, a).conjugate() / k
-                   * (_omega(lpmp, k, theta, phi, a) / k))
+    x, s, l, lp = math.cos(theta), math.sin(theta), lm.l, lpmp.l
+    return _finite(_omega_real(lm, _j_over_k(l, k, a), x, s, a)
+                   * _omega_real(lpmp, _j_over_k(lp, k, a), x, s, a)
+                   * _I_POWERS[(l - lp) % 4]
+                   * cmath.exp(1j * (lpmp.m - lm.m) * phi))
 
 
 def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
@@ -463,8 +474,6 @@ def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
         raise ValueError(f"wave number must be finite, got k={k}")
     if k <= 0.0:
         raise ZeroWaveVector("g_tilde requires k > 0")
-    l, lp = idx.l, idx.lp
-    return _finite(2 * math.pi ** 2 * (-1j) ** idx.j * mu_coefficient(idx)
-                   * a ** (l + lp + 2)
-                   * ((spherical_bessel_j(l, k * a) / k)
-                      * (spherical_bessel_j(lp, k * a) / k)))
+    return _finite(2 * math.pi ** 2 * _I_POWERS[-idx.j % 4]
+                   * mu_coefficient(idx) * a ** (idx.degree + 1)
+                   * _j_over_k(idx.l, k, a) * _j_over_k(idx.lp, k, a))

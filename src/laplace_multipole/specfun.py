@@ -137,25 +137,32 @@ def wigner_small_d(l: int, m: int, mp: int, beta: float) -> float:
 
     d = +-sqrt(C(2l-n, n+p) / C(n+q, q)) sin^p(beta/2) cos^q(beta/2)
     P_n^(p,q)(cos beta) with n = min(l+-m, l+-mp), p = |m-mp| and
-    q = 2(l-n)-p; the sign is (-1)^(m-mp) for n in {l+mp, l-m}.  The Jacobi
-    polynomial comes from its three-term recurrence (DLMF 18.9.1), which
-    keeps full accuracy where the alternating sum over k cancels."""
+    q = 2(l-n)-p; the sign is (-1)^(m-mp) for n in {l+mp, l-m}.  P_n comes
+    from its three-term recurrence (DLMF 18.9.1), accurate where the sum over
+    k cancels; its scale and the factor before it are summed as logs."""
     _check_integer_orders(l, m, mp)
     if abs(m) > l or abs(mp) > l:
         raise ValueError("require |m|, |mp| <= l")
     if not math.isfinite(beta):
         raise ValueError(f"angle must be finite, got beta={beta!r}")
     n, p = min(l + m, l - m, l + mp, l - mp), abs(m - mp)
-    q, x = 2 * (l - n) - p, math.cos(beta)
+    q, x, log_f, big = 2 * (l - n) - p, math.cos(beta), 0.0, 2.0 ** 600
     jac, prev = (((p + q + 2) * x + p - q) / 2, 1.0) if n else (1.0, 0.0)
     for i in range(1, n):  # P_{i+1} from P_i and P_{i-1}
         s = 2 * i + p + q
         prev, jac = jac, ((s + 1) * (s * (s + 2) * x + p * p - q * q) * jac
                           - 2 * (i + p) * (i + q) * (s + 2) * prev) / (
                               2 * (i + 1) * (i + p + q + 1) * s)
-    sign = -1 if n in (l + mp, l - m) and (m - mp) % 2 else 1
-    return (sign * math.sqrt(math.comb(2 * l - n, n + p) / math.comb(n + q, q))
-            * math.sin(beta / 2) ** p * math.cos(beta / 2) ** q * jac)
+        if abs(jac) > big:  # an exact rescale, kept in log_f
+            prev, jac, log_f = prev / big, jac / big, log_f + 600 * math.log(2)
+    sh, ch = math.sin(beta / 2), math.cos(beta / 2)
+    if (p and not sh) or (q and not ch):
+        return 0.0
+    odd = (n in (l + mp, l - m)) * (m - mp) + p * (sh < 0) + q * (ch < 0)
+    log_f += (math.lgamma(2 * l - n + 1) + math.lgamma(n + 1)
+              - math.lgamma(n + p + 1) - math.lgamma(n + q + 1)) / 2
+    return (-1) ** (odd % 2) * jac * math.exp(
+        log_f + p * math.log(abs(sh) or 1.0) + q * math.log(abs(ch) or 1.0))
 
 
 def wigner_D(l: int, m: int, mp: int, angles: EulerAngles) -> complex:
@@ -181,14 +188,12 @@ def _legendre_factors(m: int, lmax: int) -> tuple:
         for l in range(ma + 1, lmax + 1))
 
 
-def _legendre_column(m: int, lmax: int, theta: float) -> list:
-    """[Y_{l,m}(theta, 0) for l = |m| .. lmax]: orthonormal associated
-    Legendre values with the Condon-Shortley phase, by the upward recurrence
-    in the degree.  sin(theta) enters as |sin(theta)|, as in scipy's
-    sph_harm_y, so any real theta is accepted."""
+def _legendre_column(m: int, lmax: int, x: float, s: float) -> list:
+    """[Y_{l,m}(theta, 0) for l = |m| .. lmax] at x = cos(theta) and
+    s = |sin(theta)| (any real theta, as in scipy's sph_harm_y): orthonormal
+    Legendre values, Condon-Shortley phase, by the upward recurrence in l."""
     seed, factors = _legendre_factors(m, lmax)
-    x = math.cos(theta)
-    cur, prev = seed * abs(math.sin(theta)) ** abs(m), 0.0
+    cur, prev = seed * s ** abs(m), 0.0
     column = [cur]
     for A, B in factors:
         prev, cur = cur, A * (x * cur - B * prev)
@@ -202,7 +207,8 @@ def spherical_harmonic(idx: MultipoleIndex, theta: float, phi: float) -> complex
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"angles must be finite, got theta={theta!r}, "
                          f"phi={phi!r}")
-    return _legendre_column(idx.m, idx.l, theta)[-1] * cmath.exp(1j * idx.m * phi)
+    x, s = math.cos(theta), abs(math.sin(theta))
+    return _legendre_column(idx.m, idx.l, x, s)[-1] * cmath.exp(1j * idx.m * phi)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +272,7 @@ def spherical_bessel_j(l: int, x: float) -> float:
     Memoized per (l, x), at most 1024 entries: a block of Fourier
     elements at one |k| repeats each (l, ka) many times.
     """
-    if type(l) is not int:
-        _check_integer_orders(l)
+    _check_integer_orders(l)
     if l < 0:
         raise ValueError("order must be non-negative")
     if not 0.0 <= x < math.inf:

@@ -590,6 +590,104 @@ def test_fourier_elements_finite_as_k_underflows(k):
         g_tilde(ReducedIndex(0, 0, 0), k, a)
 
 
+@pytest.mark.parametrize("k, a", [(1e-318, 1.0), (5e-324, 1.0), (5e-324, 0.5)])
+def test_fourier_elements_at_subnormal_ka(k, a):
+    # j_1(ka) / k = a / 3 to the last bit, however far ka underflows
+    lm, idx = MultipoleIndex(1, 0), ReducedIndex(1, 1, 2)
+    assert fourier_matrix_element(lm, lm, (0.0, 0.0, k), a) == \
+        pytest.approx(4 * math.pi / 3 * a ** 6, rel=1e-14)
+    # 2 pi^2 (-i)^2 mu a^4 (a / 3)^2
+    assert g_tilde(idx, k, a) == \
+        pytest.approx(-2 * math.pi ** 2 * mu_coefficient(idx) * a ** 6 / 9,
+                      rel=1e-14)
+
+
+@pytest.mark.parametrize("idx", [ReducedIndex(1, 1, 0), ReducedIndex(2, 1, 1),
+                                 ReducedIndex(4, 2, 4)])
+def test_g_tilde_continuous_where_leading_term_takes_over(idx):
+    # just below ka = 1e-8, j_l(ka) / k is the leading series term
+    a = 1.7
+    for k in (0.999999e-8 / a, 1.000001e-8 / a):
+        want = (2 * math.pi ** 2 * (-1j) ** idx.j * mu_coefficient(idx)
+                * a ** (idx.l + idx.lp + 2) * spherical_bessel_j(idx.l, k * a)
+                * spherical_bessel_j(idx.lp, k * a) / k ** 2)
+        assert g_tilde(idx, k, a) == pytest.approx(want, rel=1e-14), k
+
+
+def _fourier_block(idx, kvec, a):
+    return np.array([[fourier_matrix_element(p, q, kvec, a) for q in idx]
+                     for p in idx])
+
+
+_LMAX4 = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fourier_block_along_z_axis(sign):
+    # Y_lm(0 or pi, .) vanishes for m != 0 and is (+-1)^l sqrt((2l+1)/4pi)
+    # for m = 0; sin(pi) = 1.2e-16 leaves the m != 0 elements at rounding
+    a, k = 1.3, 0.7
+    got = _fourier_block(_LMAX4, (0.0, 0.0, sign * k), a)
+    scale = np.abs(got).max()
+    for p, lm in enumerate(_LMAX4):
+        for q, lpmp in enumerate(_LMAX4):
+            want = 0.0
+            if lm.m == lpmp.m == 0:
+                l, lp = lm.l, lpmp.l
+                want = (4 * math.pi * a ** (l + lp + 2) * 1j ** (l - lp)
+                        * sign ** (l + lp)
+                        * math.sqrt((2 * l + 1) * (2 * lp + 1))
+                        * spherical_bessel_j(l, k * a)
+                        * spherical_bessel_j(lp, k * a) / k ** 2)
+            assert abs(got[p, q] - want) <= 1e-15 * scale, (lm, lpmp)
+
+
+def test_fourier_block_in_xy_plane():
+    # theta = pi/2: Y_lm vanishes for odd l+m, and the block is the one of
+    # scipy's Y_lm with the library's j_l
+    a, kvec = 0.8, (0.3, -0.5, 0.0)
+    k, phi = math.hypot(*kvec), math.atan2(kvec[1], kvec[0])
+    omega = [4 * math.pi * a ** (p.l + 1) * (-1j) ** p.l
+             * spherical_bessel_j(p.l, k * a)
+             * sph_harm_y(p.l, p.m, math.pi / 2, phi) for p in _LMAX4]
+    want = np.array([[wp.conjugate() * wq / k ** 2 for wq in omega]
+                     for wp in omega])
+    got = _fourier_block(_LMAX4, kvec, a)
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-15 * scale
+    odd = [i for i, p in enumerate(_LMAX4) if (p.l + p.m) % 2]
+    assert np.abs(got[odd, :]).max() <= 1e-15 * scale
+    assert np.abs(got[:, odd]).max() <= 1e-15 * scale
+
+
+def test_fourier_block_at_grazing_wavevector():
+    # x^2 underflows next to z^2: the direction is +z, |k| = 1e-150
+    a = 1.0
+    got = _fourier_block(_LMAX4, (1e-300, 0.0, 1e-150), a)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, _fourier_block(_LMAX4, (0.0, 0.0, 1e-150), a))
+    s = _LMAX4.index(MultipoleIndex(0, 0))
+    p = _LMAX4.index(MultipoleIndex(1, 0))
+    assert got[s, s] == pytest.approx(4 * math.pi * 1e300, rel=1e-14)
+    assert got[p, p] == pytest.approx(4 * math.pi / 3, rel=1e-14)
+
+
+def test_fourier_block_matches_factorized_form():
+    # the element rounds its phase argument (m'-m) phi once, the factorized
+    # form m phi and m' phi: each side is off the exact block by up to about
+    # 1e-15 of its scale, hence 2e-15 between them
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        kvec = tuple(rng.uniform(-3.0, 3.0, 3))
+        a = rng.uniform(0.5, 1.5)
+        omega = [omega_hat(p, kvec, a) for p in _LMAX4]
+        k2 = sum(c * c for c in kvec)
+        want = np.array([[wp.conjugate() * wq / k2 for wq in omega]
+                         for wp in omega])
+        got = _fourier_block(_LMAX4, kvec, a)
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max(), kvec
+
+
 def test_fourier_element_rejects_zero_wavevector():
     with pytest.raises(ZeroWaveVector):
         fourier_matrix_element(MultipoleIndex(0, 0), MultipoleIndex(0, 0),

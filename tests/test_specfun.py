@@ -137,6 +137,18 @@ def test_small_d_high_order(l):
         assert abs(row - 1.0) <= 1e-12, m
 
 
+def test_small_d_rows_normalized_past_float_range():
+    # C(2l-n, n+p) alone passes the float range from l ~ 515, and the
+    # Jacobi value from l ~ 800
+    for l, ms, betas in ((600, (-600, -137, 0, 411), (0.4, 2.3)),
+                         (1000, (0,), (0.01,))):
+        for m in ms:
+            for beta in betas:
+                row = math.fsum(wigner_small_d(l, m, mp, beta) ** 2
+                                for mp in range(-l, l + 1))
+                assert abs(row - 1.0) <= 1e-10, (l, m, beta)
+
+
 @given(st.integers(0, 4),
        st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False),
        st.floats(-3, 3, allow_nan=False))
