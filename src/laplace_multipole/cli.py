@@ -158,9 +158,8 @@ def _check_surface(lmax: int):
     from .oracles import QuadratureSpec, defining_integral_quadrature
     spec = QuadratureSpec(node_count=10)
     worst = 0.0
-    lcap = min(lmax, 2)
-    for l in range(lcap + 1):
-        for lp in range(lcap + 1):
+    for l in range(lmax + 1):
+        for lp in range(lmax + 1):
             for m in range(-min(l, lp), min(l, lp) + 1):
                 for R in (1.0, 3.0):
                     closed = matrix_element_zaxis(MultipoleIndex(l, m),

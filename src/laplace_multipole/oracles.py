@@ -1,12 +1,16 @@
 """Brute-force quadrature oracles for the closed forms in :mod:`.core`.
 
 These evaluators are deliberately independent of the production code
-paths: the defining double-surface integral is done by graded
-Gauss-Legendre product quadrature, and the semi-infinite Hankel
-integrals by zero-aligned panels plus analytic oscillatory tails.
-They are slow by design and exist only to earn trust (tests and the
-``verify`` CLI command).  scipy and mpmath are imported by the functions
-that use them, so importing the package does not load them.
+paths.  The defining double-surface integral takes its inner sphere in
+closed form from the real-space Laplace expansion of 1/|x - y| (Jackson,
+eq. 3.70) and the outer one by graded Gauss-Legendre quadrature in
+cos(theta), with scipy's spherical harmonics: it shares no step with the
+paper's Fourier/Hankel route (triple Bessel integrals, 3-j sums, overlap
+polynomials), and takes only index and geometry types and ``regime_of``
+from :mod:`.core`.  The semi-infinite Hankel integrals use zero-aligned
+panels plus analytic oscillatory tails.  They exist only to earn trust
+(tests and the ``verify`` CLI command).  scipy and mpmath are imported by
+the functions that use them, so importing the package does not load them.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .core import ReducedIndex, SphereGeometry, regime_of
 from .errors import SingularConfiguration, TailTooLarge
-from .specfun import MultipoleIndex
+from .specfun import MultipoleIndex, _check_integer_orders
 
 
 @dataclass(frozen=True)
@@ -34,10 +38,11 @@ class QuadratureSpec:
     tail_order: int = 14
 
     def __post_init__(self):
+        _check_integer_orders(self.node_count, self.tail_order)
         if self.node_count < 8:
             raise ValueError("node_count must be at least 8")
-        if self.k_max <= 0:
-            raise ValueError("k_max must be positive")
+        if not (math.isfinite(self.k_max) and self.k_max > 0):
+            raise ValueError(f"k_max must be finite and positive, got {self.k_max}")
         if self.tail_order < 0:
             raise ValueError("tail_order must be non-negative")
 
@@ -88,34 +93,17 @@ def _theta_profile(l: int, m: int, thetas: np.ndarray) -> np.ndarray:
 
 def _surface_integral(l: int, lp: int, m: int, R: float, a: float,
                       n: int, levels: int) -> float:
-    # reduced 3-D form: the azimuthal integrals collapse to one relative
-    # angle u with a 2*pi prefactor and an even integrand on [0, pi]
-    # the surfaces touch where a*n + R e_z = a*n': cos(theta) = -R/2a,
-    # cos(theta') = +R/2a, u = 0
-    if R < 2 * a:
-        th_star = math.acos(-R / (2 * a))
-    else:
-        th_star, levels = math.pi, max(levels // 2, 4)
-    th, wth = _graded_mesh(0.0, math.pi, th_star, n, levels)
-    tp, wtp = _graded_mesh(0.0, math.pi, math.pi - th_star, n, levels)
-    uu, wu = _graded_mesh(0.0, math.pi, 0.0, n, levels)
-    f_th = _theta_profile(l, m, th) * np.sin(th) * wth
-    f_tp = _theta_profile(lp, m, tp) * np.sin(tp) * wtp
-    f_u = np.cos(m * uu) * wu
-    cos_th, sin_th = np.cos(th), np.sin(th)
-    cos_tp, sin_tp = np.cos(tp), np.sin(tp)
-    cos_u = np.cos(uu)
-    total = 0.0
-    for i in range(len(th)):
-        # d^2 = |a n - a n' + R e_z|^2 on the (theta', u) mesh
-        d2 = (2 * a * a * (1.0 - cos_th[i] * cos_tp[:, None]
-                           - sin_th[i] * sin_tp[:, None] * cos_u[None, :])
-              + R * R + 2 * a * R * (cos_th[i] - cos_tp[:, None]))
-        np.maximum(d2, 1e-300, out=d2)
-        inner = f_tp @ (1.0 / np.sqrt(d2)) @ f_u
-        total += f_th[i] * inner
-    # 2*pi from the overall azimuth, 2 from u-parity, 1/(4*pi) kernel
-    return total / (4 * math.pi) * 2 * math.pi * 2
+    # the n' integral is the potential of a surface harmonic at
+    # x = a n + R e_z (the Laplace expansion of 1/|x - a n'|):
+    # r_<^l' / ((2l'+1) r_>^(l'+1)) Y_l'm(x^), so after the 2*pi azimuth
+    # only t = cos(theta) is left; it kinks where |x| = a, t = -R/2a
+    t, w = _graded_mesh(-1.0, 1.0, -R / (2 * a), n, levels)
+    rho, z = a * np.sqrt(1.0 - t * t), a * t + R
+    r = np.hypot(rho, z)
+    pot = np.minimum(r, a) ** lp / (2 * lp + 1) / np.maximum(r, a) ** (lp + 1)
+    f = (_theta_profile(l, m, np.arccos(t))
+         * _theta_profile(lp, m, np.arctan2(rho, z)) * pot)
+    return 2 * math.pi * float(f @ w)
 
 
 def defining_integral_quadrature(lm: MultipoleIndex, lpmp: MultipoleIndex,
@@ -125,13 +113,17 @@ def defining_integral_quadrature(lm: MultipoleIndex, lpmp: MultipoleIndex,
     a^(l+l'+2) * int dn dn' conj(Y_lm(n)) Y_l'm'(n') / (4 pi |a n - R - a n'|)
     for a separation along e_z.
 
-    The relative azimuth reduces the integral to three angles; it vanishes
-    identically for m != m'.  Raises SingularConfiguration when the two-
-    resolution error estimate exceeds rel_tol.
+    The n' integral is done in closed form by the Laplace expansion of
+    1/|x - y| (Jackson, Classical Electrodynamics, eq. 3.70), which leaves
+    one Gauss-Legendre integral over cos(theta); it vanishes identically
+    for m != m'.  ValueError unless rel_tol is finite and positive;
+    SingularConfiguration when the two-resolution error estimate exceeds it.
     """
     if geom.theta != 0.0 or geom.phi != 0.0:
         raise ValueError("oracle implemented for separations along e_z; "
                          "rotate the indices instead")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if lm.m != lpmp.m:
         return 0.0 + 0.0j
     l, lp, m = lm.l, lpmp.l, lm.m

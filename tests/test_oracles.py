@@ -32,6 +32,14 @@ def test_spec_validation():
         QuadratureSpec(k_max=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(tail_order=-1)
+    # non-finite truncation and non-integer counts
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            QuadratureSpec(k_max=bad)
+    with pytest.raises(ValueError):
+        QuadratureSpec(node_count=12.0)
+    with pytest.raises(ValueError):
+        QuadratureSpec(tail_order=2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +147,30 @@ def test_surface_oracle_requires_axis_alignment():
     with pytest.raises(ValueError):
         defining_integral_quadrature(MultipoleIndex(0, 0),
                                      MultipoleIndex(0, 0), geom, SPEC)
+
+
+# concentric, overlapping, either side of contact, exact contact and far
+@pytest.mark.parametrize("a", [1.0, 2.5])
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 1.999, 2.0, 2.001, 6.0])
+def test_surface_oracle_in_every_regime(ratio, a):
+    geom = SphereGeometry(ratio * a, 0.0, 0.0, a)
+    for l in range(5):
+        for lp in range(5):
+            for m in range(-min(l, lp), min(l, lp) + 1):
+                lm, lpm = MultipoleIndex(l, m), MultipoleIndex(lp, m)
+                got = defining_integral_quadrature(lm, lpm, geom, SPEC)
+                want = matrix_element_zaxis(lm, lpm, ratio * a, a)
+                scale = max(abs(want), 1e-4 * a ** (l + lp + 1))
+                assert abs(got - want) <= 1e-9 * scale, (l, lp, m)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_surface_oracle_rejects_bad_tolerance(rel_tol):
+    geom = SphereGeometry(1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="rel_tol"):
+        defining_integral_quadrature(MultipoleIndex(1, 0),
+                                     MultipoleIndex(1, 0), geom, SPEC,
+                                     rel_tol=rel_tol)
 
 
 def test_surface_oracle_flags_unconverged_result():
