@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import PoleResidueError, RegimeError, ZeroWaveVector
 from .specfun import (MultipoleIndex, _check_integer_orders,
@@ -96,6 +96,15 @@ class SphereGeometry:
     @classmethod
     def from_vector(cls, Rvec, a: float) -> "SphereGeometry":
         return cls(*_spherical(Rvec), a=a)
+
+    @cached_property
+    def _direction(self) -> tuple:
+        """(regime, R/a, cos theta, |sin theta|, columns by (m'-m, l+l'))."""
+        return (regime_of(self.R, self.a), self.R / self.a,
+                math.cos(self.theta), abs(math.sin(self.theta)), {})
+
+    def __getstate__(self) -> dict:  # pickle the four fields, not the memo
+        return {k: v for k, v in self.__dict__.items() if k != "_direction"}
 
 
 @dataclass(frozen=True)
@@ -398,19 +407,25 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
     but R and the direction comes from the cached per-channel plan
     (_channel_plan); a call evaluates one deflated polynomial per j in the
     overlap regime, or the stretched power law from R = 2a on, and one
-    Legendre column, since every term shares m'-m."""
+    Legendre column, since every term shares m'-m.  Elements at one
+    geometry object share its regime, cos and sin of theta and its Legendre
+    columns, one per (m'-m, l+l'), kept for its lifetime: build one
+    SphereGeometry per block and reuse it (81 columns per lmax-4 block)."""
     l, lp, m1 = lm.l, lpmp.l, lpmp.m - lm.m
     terms, contact = _channel_plan(l, lm.m, lp, lpmp.m)
     if not terms:
         return 0.0 + 0.0j
-    R, a, degree, theta = geom.R, geom.a, l + lp + 1, geom.theta
-    column = _legendre_column(m1, l + lp, math.cos(theta), abs(math.sin(theta)))
-    if regime_of(R, a) == "overlap":
-        rho, acc = R / a, 0.0
+    regime, rho, x, s, columns = geom._direction
+    column = columns.get((m1, l + lp))
+    if column is None:
+        column = columns[m1, l + lp] = _legendre_column(m1, l + lp, x, s)
+    a, degree = geom.a, l + lp + 1
+    if regime == "overlap":
+        acc = 0.0
         for n, weight, k, quotient in terms:
             acc += weight * (2 - rho) ** k * _horner(quotient, rho) * column[n]
     else:
-        acc = contact * (2 * a / R) ** degree * column[-1]
+        acc = contact * (2 * a / geom.R) ** degree * column[-1]
     return a ** degree * acc * cmath.exp(1j * m1 * geom.phi)
 
 

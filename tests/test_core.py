@@ -2,13 +2,14 @@
 import cmath
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import sph_harm_y
+from scipy.special import sph_harm_y, spherical_jn
 
 from laplace_multipole import core
 from laplace_multipole.core import (
@@ -510,6 +511,48 @@ def test_matrix_element_matches_per_term_sum():
                     (a, rho, theta)
 
 
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+_LMAX5 = [MultipoleIndex(l, m) for l in range(6) for m in range(-l, l + 1)]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.7, 1.999, 2.0, 2.001, 5.0])
+def test_geometry_memo_keeps_every_element(rho):
+    # a geometry keeps the regime, angles and Legendre columns its elements
+    # share; filled in either order it gives the bits of a fresh geometry
+    # per element
+    a = 1.3
+    pairs = [(p, q) for p in _LMAX5 for q in _LMAX5]
+    for theta in (0.0, math.pi, 1.1, -0.4):
+        for phi in (0.0, -2.0, 3.0):
+            args = (rho * a, theta, phi, a)
+            want = [_bits(matrix_element(p, q, SphereGeometry(*args)))
+                    for p, q in pairs]
+            geom = SphereGeometry(*args)
+            assert [_bits(matrix_element(p, q, geom))
+                    for p, q in pairs] == want, (rho, theta, phi)
+            geom = SphereGeometry(*args)
+            assert [_bits(matrix_element(p, q, geom))
+                    for p, q in reversed(pairs)] == want[::-1], \
+                (rho, theta, phi)
+
+
+def test_used_geometry_is_still_a_plain_value():
+    args = (1.21, 1.1, -2.0, 1.0)
+    used, fresh = SphereGeometry(*args), SphereGeometry(*args)
+    p, q = MultipoleIndex(2, 1), MultipoleIndex(3, -1)
+    want = matrix_element(p, q, used)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert len(dataclasses.fields(used)) == 4
+    assert repr(used) == repr(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)  # the memo stays behind
+    copy = pickle.loads(pickle.dumps(used))
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert _bits(matrix_element(p, q, copy)) == _bits(want)
+
+
 # ---------------------------------------------------------------------------
 # Fourier space
 # ---------------------------------------------------------------------------
@@ -686,6 +729,26 @@ def test_fourier_block_matches_factorized_form():
                          for wp in omega])
         got = _fourier_block(_LMAX4, kvec, a)
         assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max(), kvec
+
+
+def test_fourier_block_matches_scipy_reference():
+    # conj(omega_hat) omega_hat / k^2 with scipy's Y_lm and j_l, so neither
+    # the library's Legendre recurrence nor its Bessel values check themselves
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        khat = rng.normal(size=3)
+        khat /= np.linalg.norm(khat)
+        a = rng.uniform(0.5, 1.5)
+        k = rng.uniform(0.1, 10.0) / a
+        theta, phi = np.arccos(khat[2]), np.arctan2(khat[1], khat[0])
+        omega = [4 * np.pi * a ** (p.l + 1) * (-1j) ** p.l
+                 * spherical_jn(p.l, k * a) * sph_harm_y(p.l, p.m, theta, phi)
+                 for p in _LMAX4]
+        want = np.array([[wp.conjugate() * wq / k ** 2 for wq in omega]
+                         for wp in omega])
+        got = _fourier_block(_LMAX4, tuple(k * khat), a)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), \
+            (k * khat, a)
 
 
 def test_fourier_element_rejects_zero_wavevector():

@@ -173,12 +173,18 @@ def test_surface_oracle_rejects_bad_tolerance(rel_tol):
                                      rel_tol=rel_tol)
 
 
-def test_surface_oracle_flags_unconverged_result():
-    geom = SphereGeometry(1.0, 0.0, 0.0, 1.0)
+# "rounding": coarse and fine differ by 1.0e-15 relative, rounding alone;
+# "coarse-quadrature": 8 nodes leave a real quadrature error, 7.0e-6 relative
+@pytest.mark.parametrize("spec, l, R, rel_tol", [
+    (SPEC, 2, 1.0, 1e-16),
+    (QuadratureSpec(node_count=8), 12, 0.5, 1e-8),
+], ids=["rounding", "coarse-quadrature"])
+def test_surface_oracle_flags_unconverged_result(spec, l, R, rel_tol):
+    geom = SphereGeometry(R, 0.0, 0.0, 1.0)
     with pytest.raises(SingularConfiguration):
-        defining_integral_quadrature(MultipoleIndex(2, 0),
-                                     MultipoleIndex(2, 0), geom, SPEC,
-                                     rel_tol=1e-16)
+        defining_integral_quadrature(MultipoleIndex(l, 0),
+                                     MultipoleIndex(l, 0), geom, spec,
+                                     rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
