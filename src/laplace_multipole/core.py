@@ -42,6 +42,9 @@ class ReducedIndex:
 
     def __post_init__(self):
         _check_integer_orders(self.l, self.lp, self.j)
+        # Python ints, so that no numpy integer reaches the exact builds
+        for name in ("l", "lp", "j"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if min(self.l, self.lp, self.j) < 0:
             raise ValueError("orders must be non-negative")
         if not abs(self.l - self.lp) <= self.j <= self.l + self.lp:

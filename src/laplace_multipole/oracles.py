@@ -3,14 +3,17 @@
 These evaluators are deliberately independent of the production code
 paths.  The defining double-surface integral takes its inner sphere in
 closed form from the real-space Laplace expansion of 1/|x - y| (Jackson,
-eq. 3.70) and the outer one by graded Gauss-Legendre quadrature in
-cos(theta), with scipy's spherical harmonics: it shares no step with the
-paper's Fourier/Hankel route (triple Bessel integrals, 3-j sums, overlap
-polynomials), and takes only index and geometry types and ``regime_of``
-from :mod:`.core`.  The semi-infinite Hankel integrals use zero-aligned
-panels plus analytic oscillatory tails.  They exist only to earn trust
-(tests and the ``verify`` CLI command).  scipy and mpmath are imported by
-the functions that use them, so importing the package does not load them.
+eq. 3.70) and the outer one by quadrature in cos(theta) on panels graded
+toward the kink, with scipy's spherical harmonics: it shares no step with
+the paper's Fourier/Hankel route (triple Bessel integrals, 3-j sums,
+overlap polynomials), and takes only index and geometry types and
+``regime_of`` from :mod:`.core`.  Every quadrature is one Gauss-Legendre
+rule on the panels between a list of edges: zero-aligned panels plus an
+analytic oscillatory tail for the triple-Bessel integral, and half-period
+panels with an accelerated tail for both Hankel transforms.  They exist
+only to earn trust (tests and the ``verify`` CLI command).  scipy and
+mpmath are imported by the functions that use them, so importing the
+package does not load them.
 """
 from __future__ import annotations
 
@@ -48,37 +51,20 @@ class QuadratureSpec:
 
 
 # ---------------------------------------------------------------------------
-# graded Gauss-Legendre meshes
+# Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
 def _gl(n: int):
     return leggauss(n)
 
-def _panel_nodes(lo: float, hi: float, n: int):
+
+def _panels(edges, n: int):
+    """Gauss-Legendre nodes and weights, n per panel of the edge array."""
     x, w = _gl(n)
-    mid, hw = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + hw * x, hw * w
-
-
-def _graded_mesh(lo: float, hi: float, focus: float, n: int, levels: int):
-    """Panels on [lo, hi] geometrically refined toward the focus point."""
-    nodes, weights = [], []
-    cuts = []
-    focus = min(max(focus, lo), hi)
-    if focus - lo > 0:
-        widths = [(focus - lo) * 0.5 ** i for i in range(1, levels)]
-        edges = [lo] + [focus - wd for wd in widths] + [focus]
-        cuts += list(zip(edges[:-1], edges[1:]))
-    if hi - focus > 0:
-        widths = [(hi - focus) * 0.5 ** i for i in range(1, levels)]
-        edges = [focus] + [focus + wd for wd in reversed(widths)] + [hi]
-        cuts += list(zip(edges[:-1], edges[1:]))
-    for a_, b_ in cuts:
-        x, w = _panel_nodes(a_, b_, n)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    hw = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + hw * x).ravel(), (hw * w).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +82,13 @@ def _surface_integral(l: int, lp: int, m: int, R: float, a: float,
     # the n' integral is the potential of a surface harmonic at
     # x = a n + R e_z (the Laplace expansion of 1/|x - a n'|):
     # r_<^l' / ((2l'+1) r_>^(l'+1)) Y_l'm(x^), so after the 2*pi azimuth
-    # only t = cos(theta) is left; it kinks where |x| = a, t = -R/2a
-    t, w = _graded_mesh(-1.0, 1.0, -R / (2 * a), n, levels)
+    # only t = cos(theta) is left; it kinks where |x| = a, t = c = -R/2a,
+    # so the panels halve in width toward c from both sides
+    c = max(-R / (2 * a), -1.0)
+    h = 0.5 ** np.arange(1, levels)
+    edges = np.concatenate(([-1.0], c - (c + 1.0) * h, [c],
+                            c + (1.0 - c) * h[::-1], [1.0]))
+    t, w = _panels(edges[levels:] if c == -1.0 else edges, n)
     rho, z = a * np.sqrt(1.0 - t * t), a * t + R
     r = np.hypot(rho, z)
     pot = np.minimum(r, a) ** lp / (2 * lp + 1) / np.maximum(r, a) ** (lp + 1)
@@ -111,7 +102,7 @@ def defining_integral_quadrature(lm: MultipoleIndex, lpmp: MultipoleIndex,
                                  rel_tol: float = 1e-4) -> complex:
     """Direct quadrature of the double surface-convolution
     a^(l+l'+2) * int dn dn' conj(Y_lm(n)) Y_l'm'(n') / (4 pi |a n - R - a n'|)
-    for a separation along e_z.
+    for a separation along e_z (theta = 0, whatever phi is).
 
     The n' integral is done in closed form by the Laplace expansion of
     1/|x - y| (Jackson, Classical Electrodynamics, eq. 3.70), which leaves
@@ -119,7 +110,7 @@ def defining_integral_quadrature(lm: MultipoleIndex, lpmp: MultipoleIndex,
     for m != m'.  ValueError unless rel_tol is finite and positive;
     SingularConfiguration when the two-resolution error estimate exceeds it.
     """
-    if geom.theta != 0.0 or geom.phi != 0.0:
+    if geom.theta != 0.0:
         raise ValueError("oracle implemented for separations along e_z; "
                          "rotate the indices instead")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
@@ -246,13 +237,11 @@ def hankel_triple_bessel(idx: ReducedIndex, R: float, a: float,
     width = math.pi / freq
     nper = max(int(math.ceil(K / width)), 1)
     K = nper * width
-    x, w = _gl(spec.node_count)
-    mids = width * (np.arange(nper) + 0.5)
-    kk = (mids[:, None] + 0.5 * width * x[None, :]).ravel()
+    kk, w = _panels(width * np.arange(nper + 1), spec.node_count)
     f = np.ones_like(kk)
     for n, c in factors:
         f *= spherical_jn(n, c * kk)
-    total = 0.5 * width * float(np.sum(f.reshape(nper, -1) @ w))
+    total = float(f @ w)
     terms_list = [(c, _bessel_trig_terms(n, c)) for n, c in factors]
     tail, omitted = _tail_exact(terms_list, K, spec.tail_order)
     budget = 1e-9 * max(abs(total), 1e-10)
@@ -275,32 +264,25 @@ def _euler_sum(terms):
     return best
 
 
-def _panel_integrate(f, lo: float, hi: float, n: int) -> complex:
-    x, w = _gl(n)
-    kk = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-    vals = np.array([f(float(k)) for k in kk])
-    return 0.5 * (hi - lo) * complex(np.dot(w, vals))
-
-
-def _oscillatory_integral(f, freq: float, start: float, K0: float, n: int,
-                          name: str, head: complex = 0j) -> complex:
-    """head + int_start^inf f, with f oscillating at frequency freq: direct
-    half-period panels to beyond K0, then accelerated summation of 48
-    further panels.  TailTooLarge when the error estimate, from shortening
-    the accelerated run, is not negligible against the value."""
-    width = math.pi / freq
+def _hankel_integral(j: int, y: float, samples, head, freq: float,
+                     K0: float, n: int, name: str) -> complex:
+    """int_0^inf x^2 j_j(x y) samples(x) dx, with the integrand oscillating
+    at frequency freq beyond the head edges: panels between the head edges,
+    direct half-period panels to beyond K0, then accelerated summation of
+    48 further panels.  TailTooLarge when the error estimate, from
+    shortening the accelerated run, is not negligible against the value."""
+    from scipy.special import spherical_jn
+    start, width = head[-1], math.pi / freq
     ndirect = max(int(math.ceil((K0 - start) / width)), 2)
-    total = 0.0 + 0.0j
-    for p in range(ndirect):
-        total += _panel_integrate(f, start + p * width,
-                                  start + (p + 1) * width, n)
-    base = start + ndirect * width
-    tail_terms = np.array(
-        [_panel_integrate(f, base + p * width, base + (p + 1) * width, n)
-         for p in range(48)])
+    edges = np.concatenate((head, start + width * np.arange(1, ndirect + 49)))
+    x, w = _panels(edges, n)
+    vals = x * x * spherical_jn(j, x * y) * np.array(
+        [complex(samples(t)) for t in x.tolist()])
+    per_panel = (vals * w).reshape(-1, n).sum(axis=1)
+    tail_terms = per_panel[-48:]
     tail = complex(_euler_sum(tail_terms))
     est = abs(tail - complex(_euler_sum(tail_terms[:-8])))
-    val = total + tail + head
+    val = complex(per_panel[:-48].sum()) + tail
     if est > 1e-6 * max(abs(val), 1e-300):
         raise TailTooLarge(
             f"{name} tail estimate {est:.3e} not negligible "
@@ -315,40 +297,25 @@ def hankel_forward(idx: ReducedIndex, k: float, a: float, g_samples,
     The integrand decays only algebraically (g ~ R^-(l+l'+1) beyond
     contact), so the semi-infinite part is summed by panel acceleration.
     """
-    from scipy.special import spherical_jn
     regime_of(0.0, a)
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"wave number must be finite and positive, got k={k}")
-    j = idx.j
-
-    def f(R):
-        return R * R * spherical_jn(j, k * R) * complex(g_samples(R))
-
     # the overlap region [0, 2a] is polynomial but only piecewise smooth
     # at contact, so it gets its own panels before the oscillatory run
-    head = 0.0 + 0.0j
-    for p in range(4):
-        head += _panel_integrate(f, 0.5 * p * a, 0.5 * (p + 1) * a,
-                                 spec.node_count)
-    val = _oscillatory_integral(f, k, 2 * a, 2 * a + 8 * math.pi / k,
-                                spec.node_count, "forward-transform", head)
-    return 4 * math.pi * (-1j) ** j * val
+    val = _hankel_integral(idx.j, k, g_samples, 0.5 * a * np.arange(5), k,
+                           2 * a + 8 * math.pi / k, spec.node_count,
+                           "forward-transform")
+    return 4 * math.pi * (-1j) ** idx.j * val
 
 
 def hankel_inverse(idx: ReducedIndex, R: float, a: float, gtilde_samples,
                    spec: QuadratureSpec) -> float:
     """Inverse transform (1/2 pi^2) i^j int_0^inf dk k^2 j_j(kR) gtilde(k)."""
-    from scipy.special import spherical_jn
     regime_of(R, a)
     if R == 0.0:
         raise ValueError("separation must be positive")
-    j = idx.j
-
-    def f(k):
-        return k * k * spherical_jn(j, k * R) * complex(gtilde_samples(k))
-
-    K0 = spec.k_max / a
-    val = _oscillatory_integral(f, R + 2 * a, 0.0, K0, spec.node_count,
-                                "inverse-transform")
-    out = (1j) ** j / (2 * math.pi ** 2) * val
+    val = _hankel_integral(idx.j, R, gtilde_samples, np.zeros(1), R + 2 * a,
+                           spec.k_max / a, spec.node_count,
+                           "inverse-transform")
+    out = (1j) ** idx.j / (2 * math.pi ** 2) * val
     return out.real

@@ -38,6 +38,9 @@ class MultipoleIndex:
 
     def __post_init__(self):
         _check_integer_orders(self.l, self.m)
+        # Python ints, so that no numpy integer reaches the exact builds
+        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "m", int(self.m))
         if self.l < 0:
             raise ValueError(f"multipole order must be non-negative, got l={self.l}")
         if abs(self.m) > self.l:

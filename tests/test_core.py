@@ -393,6 +393,29 @@ def test_input_validation():
                                      1.3, 1.0)] == want
 
 
+def test_numpy_integer_orders_build_the_same_records():
+    # int64 arithmetic in a cold overlap build overflows (7, 4, 7) to
+    # 2212.48 instead of 0.040986, and the cached record then answers
+    # plain-int calls too
+    def build(orders, lm):
+        core._reduced.cache_clear()
+        core._channel_plan.cache_clear()
+        reduced = [g_reduced(ReducedIndex(*map(orders, (i.l, i.lp, i.j))),
+                             1.3, 1.0).value
+                   for i in ReducedIndex.admissible(7)]
+        elements = [matrix_element(lm, MultipoleIndex(lp, mp), geom)
+                    for lp in range(8) for mp in range(-lp, lp + 1)]
+        return [float(v).hex() for v in reduced], elements
+
+    geom = SphereGeometry(1.3, 0.4, 0.9, 1.0)
+    want = build(int, MultipoleIndex(7, 0))
+    assert build(np.int64, MultipoleIndex(np.int64(7), np.int64(0))) == want
+    # a later plain-int call reads the record the numpy call built
+    again = [float(g_reduced(i, 1.3, 1.0).value).hex()
+             for i in ReducedIndex.admissible(7)]
+    assert again == want[0]
+
+
 def test_regime_of_labels_and_rejects_nonfinite():
     assert regime_of(0.0, 1.0) == "overlap"
     assert regime_of(2 * (1 - 1e-16), 1.0) == "overlap"

@@ -8,6 +8,7 @@ from laplace_multipole.core import (
     SphereGeometry,
     g_reduced,
     g_tilde,
+    matrix_element,
     matrix_element_zaxis,
     triple_bessel_nonoverlap,
     triple_bessel_overlap,
@@ -149,6 +150,24 @@ def test_surface_oracle_requires_axis_alignment():
                                      MultipoleIndex(0, 0), geom, SPEC)
 
 
+# at theta = 0 the separation is e_z whatever phi is; (-0, 0, 2.5) has
+# phi = atan2(0, -0) = pi
+@pytest.mark.parametrize("geom", [
+    SphereGeometry.from_vector((-0.0, 0.0, 2.5), 1.0),
+    SphereGeometry(1.2, 0.0, -2.0, 1.0),
+], ids=["from-vector", "phi=-2"])
+def test_surface_oracle_accepts_any_azimuth_on_the_axis(geom):
+    for l in range(3):
+        for lp in range(3):
+            for m in range(-l, l + 1):
+                for mp in range(-lp, lp + 1):
+                    lm, lpm = MultipoleIndex(l, m), MultipoleIndex(lp, mp)
+                    got = defining_integral_quadrature(lm, lpm, geom, SPEC)
+                    want = matrix_element(lm, lpm, geom)
+                    assert abs(got - want) <= 1e-9 * max(abs(want), 1e-4), \
+                        (l, m, lp, mp)
+
+
 # concentric, overlapping, either side of contact, exact contact and far
 @pytest.mark.parametrize("a", [1.0, 2.5])
 @pytest.mark.parametrize("ratio", [0.0, 0.3, 1.999, 2.0, 2.001, 6.0])
@@ -240,6 +259,13 @@ def test_forward_transform_rejects_nonpositive_wavenumber():
 def test_forward_transform_rejects_bad_wavenumber_or_radius(k, a):
     with pytest.raises(ValueError, match="finite"):
         hankel_forward(ReducedIndex(0, 0, 0), k, a, lambda R: 1.0, SPEC)
+
+
+def test_inverse_transform_flags_non_decaying_samples():
+    # the accelerated panels do not settle: the estimate reads 1.0e-2
+    # against a value of 2.1
+    with pytest.raises(TailTooLarge, match="inverse-transform"):
+        hankel_inverse(ReducedIndex(1, 1, 2), 1.3, 1.0, lambda k: 1.0, SPEC)
 
 
 def test_inverse_transform_rejects_nonpositive_separation():
