@@ -28,7 +28,6 @@ from .specfun import (MultipoleIndex, _check_integer_orders,
                       _legendre_column, spherical_bessel_j, wigner_3j,
                       wigner_3j_float)
 
-_SQRT_PI3 = math.pi ** 1.5
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n at n % 4
 
 
@@ -102,9 +101,10 @@ class SphereGeometry:
 
     @cached_property
     def _direction(self) -> tuple:
-        """(regime, R/a, cos theta, |sin theta|, columns by (m'-m, l+l'))."""
+        """(regime, R/a, cos theta, |sin theta|, columns by (m'-m, l+l'),
+        radial rows by (l, l'))."""
         return (regime_of(self.R, self.a), self.R / self.a,
-                math.cos(self.theta), abs(math.sin(self.theta)), {})
+                math.cos(self.theta), abs(math.sin(self.theta)), {}, {})
 
     def __getstate__(self) -> dict:  # pickle the four fields, not the memo
         return {k: v for k, v in self.__dict__.items() if k != "_direction"}
@@ -169,16 +169,20 @@ def mu_coefficient(idx: ReducedIndex) -> float:
 def triple_bessel_nonoverlap(idx: ReducedIndex, R: float, a: float) -> float:
     """int_0^inf j_j(kR) j_l(ka) j_l'(ka) dk for R >= 2a.
 
-    Vanishes unless j = l + l'; otherwise a pure (a/R)^(l+l'+1) power law.
+    Vanishes unless j = l + l'; otherwise the power law pi/(8a) r
+    (2a/R)^(j+1), r = sqrt(pi) Gamma(j+1/2) / (Gamma(l+3/2) Gamma(l'+3/2)
+    2^(j+1)) formed as one correctly rounded ratio of integers, so that it
+    stays finite where Gamma(j+1/2) alone leaves the floats (j >= 171).
     """
     if regime_of(R, a) == "overlap":
         raise RegimeError(f"non-overlap branch needs R >= 2a, got R={R}, a={a}")
     l, lp, j = idx.l, idx.lp, idx.j
     if j != l + lp:
         return 0.0
-    return (_SQRT_PI3 / (8 * a) * (a / R) ** idx.degree
-            * math.gamma(0.5 + l + lp)
-            / (math.gamma(1.5 + l) * math.gamma(1.5 + lp)))
+    f = math.factorial
+    r = (16 * f(2 * j) * f(l + 1) * f(lp + 1)
+         / (f(j) * f(2 * l + 2) * f(2 * lp + 2) << (j + 1)))
+    return math.pi / (8 * a) * r * (2 * a / R) ** idx.degree
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +272,11 @@ def _horner(coefficients, t: float) -> float:
     return acc
 
 
+def _below_contact(k: int, quotient: tuple, rho: float) -> float:
+    """(2 - rho)^k q(rho): a _reduced record's integral for a = 1, rho < 2."""
+    return (2 - rho) ** k * _horner(quotient, rho)
+
+
 @lru_cache(maxsize=65536)
 def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
     """int_0^inf j_j(kR) j_l(ka) j_l'(ka) dk for 0 <= R <= 2a and even
@@ -279,8 +288,7 @@ def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
         raise ValueError(f"overlap polynomial defined for even l+l'+j only, "
                          f"got {idx}")
     _, k, quotient, _ = _reduced(idx.l, idx.lp, idx.j)
-    rho = R / a
-    return (2 - rho) ** k * _horner(quotient, rho) / a
+    return _below_contact(k, quotient, R / a) / a
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +343,7 @@ def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
     regime = regime_of(R, a)
     mu, k, quotient, contact = _reduced(idx.l, idx.lp, idx.j)
     if regime == "overlap":
-        rho = R / a
-        value = (2 - rho) ** k * _horner(quotient, rho)
+        value = _below_contact(k, quotient, R / a)
     else:
         value = contact * (2 * a / R) ** idx.degree
     return ReducedElement(idx, R, a, mu * a ** idx.degree * value, regime)
@@ -378,21 +385,19 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
 @lru_cache(maxsize=None)
 def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
-    R and the direction: (terms, contact), with per surviving j the term
-    (j - |m'-m|, weight, k, quotient), the weight
-    (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu and the deflated
-    overlap polynomial (2 - R/a)^k quotient(R/a) of _reduced; and the
-    stretched (j = l+l') weight times its contact value for a = 1, which the
-    power law scales by (2a/R)^(l+l'+1)."""
+    R and the direction: (terms, contact), per surviving j the term
+    (j - |l-l'|, j - |m'-m|, weight): its slot in the radial row of (l, l'),
+    its Legendre index and (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu;
+    and the stretched (j = l+l') weight times its contact value for a = 1."""
     m1 = mp - m
     terms, contact = [], 0.0
     for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
-        mu, k, quotient, at_contact = _reduced(l, lp, j)
+        mu, _, _, at_contact = _reduced(l, lp, j)
         weight = ((-1 if mp % 2 else 1) * math.sqrt(4 * math.pi / (2 * j + 1))
                   * wigner_3j_float(j, l, lp, m1, m, -mp) * mu)
         if weight == 0.0:
             continue
-        terms.append((j - abs(m1), weight, k, quotient))
+        terms.append((j - abs(l - lp), j - abs(m1), weight))
         contact += weight * at_contact
     return tuple(terms), contact
 
@@ -408,28 +413,34 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 
     which collapses to the m-diagonal z-axis form at theta = 0.  Everything
     but R and the direction comes from the cached per-channel plan
-    (_channel_plan); a call evaluates one deflated polynomial per j in the
-    overlap regime, or the stretched power law from R = 2a on, and one
-    Legendre column, since every term shares m'-m.  Elements at one
-    geometry object share its regime, cos and sin of theta and its Legendre
-    columns, one per (m'-m, l+l'), kept for its lifetime: build one
-    SphereGeometry per block and reuse it (81 columns per lmax-4 block)."""
+    (_channel_plan).  Elements at one geometry object share, for its
+    lifetime, its regime, cos and sin of theta, Legendre columns by
+    (m'-m, l+l') and radial rows by (l, l'): (2 - R/a)^k q(R/a) per j below
+    contact, the power-law factor a^(l+l'+1) (2a/R)^(l+l'+1) from R = 2a on.
+    Build one SphereGeometry per block and reuse it: an lmax-4 block needs
+    81 columns and 25 rows (55 radial values) for its 1453 terms."""
     l, lp, m1 = lm.l, lpmp.l, lpmp.m - lm.m
     terms, contact = _channel_plan(l, lm.m, lp, lpmp.m)
     if not terms:
         return 0.0 + 0.0j
-    regime, rho, x, s, columns = geom._direction
+    regime, rho, x, s, columns, rows = geom._direction
     column = columns.get((m1, l + lp))
     if column is None:
         column = columns[m1, l + lp] = _legendre_column(m1, l + lp, x, s)
-    a, degree = geom.a, l + lp + 1
+    row = rows.get((l, lp))
+    if row is None:
+        row = rows[l, lp] = (
+            [_below_contact(*_reduced(l, lp, j)[1:3], rho)
+             for j in range(abs(l - lp), l + lp + 1)] if regime == "overlap"
+            else (geom.a * 2 / rho) ** (l + lp + 1))
     if regime == "overlap":
         acc = 0.0
-        for n, weight, k, quotient in terms:
-            acc += weight * (2 - rho) ** k * _horner(quotient, rho) * column[n]
+        for slot, n, weight in terms:
+            acc += weight * row[slot] * column[n]
+        acc *= geom.a ** (l + lp + 1)
     else:
-        acc = contact * (2 * a / geom.R) ** degree * column[-1]
-    return a ** degree * acc * cmath.exp(1j * m1 * geom.phi)
+        acc = contact * row * column[-1]
+    return acc * cmath.exp(1j * m1 * geom.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -269,8 +269,10 @@ def _hankel_integral(j: int, y: float, samples, head, freq: float,
     """int_0^inf x^2 j_j(x y) samples(x) dx, with the integrand oscillating
     at frequency freq beyond the head edges: panels between the head edges,
     direct half-period panels to beyond K0, then accelerated summation of
-    48 further panels.  TailTooLarge when the error estimate, from
-    shortening the accelerated run, is not negligible against the value."""
+    48 further panels.  TailTooLarge when those panels grow (the integral
+    diverges, though the averaging may settle) or when the error estimate,
+    from shortening the accelerated run, is not negligible against the
+    value."""
     from scipy.special import spherical_jn
     start, width = head[-1], math.pi / freq
     ndirect = max(int(math.ceil((K0 - start) / width)), 2)
@@ -280,6 +282,9 @@ def _hankel_integral(j: int, y: float, samples, head, freq: float,
         [complex(samples(t)) for t in x.tolist()])
     per_panel = (vals * w).reshape(-1, n).sum(axis=1)
     tail_terms = per_panel[-48:]
+    first, last = np.abs(tail_terms[:8]).max(), np.abs(tail_terms[-8:]).max()
+    if last > 2 * first:
+        raise TailTooLarge(f"{name} panels grow: {first:.3e} to {last:.3e}")
     tail = complex(_euler_sum(tail_terms))
     est = abs(tail - complex(_euler_sum(tail_terms[:-8])))
     val = complex(per_panel[:-48].sum()) + tail

@@ -6,6 +6,7 @@ import pickle
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +128,40 @@ def test_nonoverlap_power_law():
     assert g4.regime == "nonoverlap"
     # (a/R)^(l+l'+1) = R^-3 falloff
     assert g4.value / g8.value == pytest.approx(8.0, rel=1e-13)
+
+
+def _power_law_mp(l, lp, R, a):
+    """The power law pi^(3/2)/(8a) (a/R)^(L+1) Gamma(L+1/2) /
+    (Gamma(l+3/2) Gamma(l'+3/2)), L = l+l', in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        R, a, L = mpmath.mpf(R), mpmath.mpf(a), l + lp
+        return (mpmath.pi ** 1.5 / (8 * a) * (a / R) ** (L + 1)
+                * mpmath.gamma(L + mpmath.mpf(0.5))
+                / (mpmath.gamma(l + mpmath.mpf(1.5))
+                   * mpmath.gamma(lp + mpmath.mpf(1.5))))
+
+
+@pytest.mark.parametrize("l,lp", [(0, 0), (1, 0), (2, 3), (0, 40), (85, 86),
+                                  (90, 90), (300, 7), (500, 500),
+                                  (1000, 1000), (0, 2000), (1999, 1)])
+def test_nonoverlap_power_law_against_mpmath(l, lp):
+    # Gamma(l+l'+1/2) alone leaves the float range from l+l' = 171 on; the
+    # power law must not: correctly rounded up to the power of 2a/R, which
+    # is exact at R = 2a, 4a and 8a
+    idx, degree = ReducedIndex(l, lp, l + lp), l + lp + 1
+    for a in (1.0, 0.75):
+        for rho in (2.0, 4.0, 8.0, 2.5, 3.0, 6.0, 2 + 1e-9, 17.3):
+            want = _power_law_mp(l, lp, rho * a, a)
+            got = triple_bessel_nonoverlap(idx, rho * a, a)
+            if want < 1e-300:  # below the normal floats
+                assert 0.0 <= got < 1e-300, (a, rho)
+                continue
+            tol = 1e-15 if rho in (2.0, 4.0, 8.0) else degree * 2.3e-16
+            assert abs(got - want) <= tol * want, (a, rho)
+    assert triple_bessel_nonoverlap(ReducedIndex(90, 90, 180), 3.0, 1.0) == \
+        pytest.approx(2.2751049502413446e-37, rel=2e-14)
+    assert triple_bessel_nonoverlap(ReducedIndex(500, 500, 1000), 6.0,
+                                    1.0) == 0.0  # true value 1.4e-484
 
 
 def test_nonoverlap_rejects_overlap_separation():
@@ -541,25 +576,26 @@ def _bits(z: complex) -> tuple:
 _LMAX5 = [MultipoleIndex(l, m) for l in range(6) for m in range(-l, l + 1)]
 
 
-@pytest.mark.parametrize("rho", [0.0, 0.7, 1.999, 2.0, 2.001, 5.0])
+@pytest.mark.parametrize("rho", [0.0, 1e-9, 0.7, 1.999, 2 * (1 - 1e-12),
+                                 2.0, 2.001, 5.0])
 def test_geometry_memo_keeps_every_element(rho):
-    # a geometry keeps the regime, angles and Legendre columns its elements
-    # share; filled in either order it gives the bits of a fresh geometry
-    # per element
-    a = 1.3
+    # a geometry keeps the regime, angles, Legendre columns and radial rows
+    # its elements share; filled in either order it gives the bits of a
+    # fresh geometry per element
     pairs = [(p, q) for p in _LMAX5 for q in _LMAX5]
-    for theta in (0.0, math.pi, 1.1, -0.4):
-        for phi in (0.0, -2.0, 3.0):
-            args = (rho * a, theta, phi, a)
-            want = [_bits(matrix_element(p, q, SphereGeometry(*args)))
-                    for p, q in pairs]
-            geom = SphereGeometry(*args)
-            assert [_bits(matrix_element(p, q, geom))
-                    for p, q in pairs] == want, (rho, theta, phi)
-            geom = SphereGeometry(*args)
-            assert [_bits(matrix_element(p, q, geom))
-                    for p, q in reversed(pairs)] == want[::-1], \
-                (rho, theta, phi)
+    for a in (0.3, 1.3):
+        for theta in (0.0, math.pi, 1.1, -0.4):
+            for phi in (0.0, -2.0, 3.0):
+                args = (rho * a, theta, phi, a)
+                want = [_bits(matrix_element(p, q, SphereGeometry(*args)))
+                        for p, q in pairs]
+                geom = SphereGeometry(*args)
+                assert [_bits(matrix_element(p, q, geom))
+                        for p, q in pairs] == want, (a, rho, theta, phi)
+                geom = SphereGeometry(*args)
+                assert [_bits(matrix_element(p, q, geom))
+                        for p, q in reversed(pairs)] == want[::-1], \
+                    (a, rho, theta, phi)
 
 
 def test_used_geometry_is_still_a_plain_value():

@@ -268,6 +268,15 @@ def test_inverse_transform_flags_non_decaying_samples():
         hankel_inverse(ReducedIndex(1, 1, 2), 1.3, 1.0, lambda k: 1.0, SPEC)
 
 
+@pytest.mark.parametrize("samples", [lambda R: 1.0, lambda R: R])
+def test_forward_transform_flags_divergent_samples(samples):
+    # R^2 j_2(kR) times samples that do not decay has no transform, yet
+    # the averaged panels settle (at -172.6 for constant samples); the last
+    # 8 accelerated panels are 5.7 and 24.5 times the first 8
+    with pytest.raises(TailTooLarge, match="forward-transform"):
+        hankel_forward(ReducedIndex(1, 1, 2), 0.7, 1.0, samples, SPEC)
+
+
 def test_inverse_transform_rejects_nonpositive_separation():
     idx = ReducedIndex(0, 0, 0)
     with pytest.raises(ValueError):
