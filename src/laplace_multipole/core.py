@@ -83,7 +83,7 @@ def _spherical(vec) -> tuple:
 
 @dataclass(frozen=True)
 class SphereGeometry:
-    """Separation of the two sphere centres in spherical coordinates plus radius."""
+    """Centre separation (R, theta in [0, pi], phi) plus sphere radius."""
 
     R: float
     theta: float
@@ -91,8 +91,8 @@ class SphereGeometry:
     a: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"geometry must be finite, got {self}")
+        if not (0.0 <= self.theta <= math.pi and math.isfinite(self.phi)):
+            raise ValueError(f"need 0 <= theta <= pi, finite phi: {self}")
         regime_of(self.R, self.a)
 
     @classmethod
@@ -102,9 +102,9 @@ class SphereGeometry:
     @cached_property
     def _direction(self) -> tuple:
         """(regime, R/a, cos theta, |sin theta|, columns by (m'-m, l+l'),
-        radial rows by (l, l'))."""
+        radial rows by (l, l'), phases e^(i(m'-m)phi) by m'-m)."""
         return (regime_of(self.R, self.a), self.R / self.a,
-                math.cos(self.theta), abs(math.sin(self.theta)), {}, {})
+                math.cos(self.theta), abs(math.sin(self.theta)), {}, {}, {})
 
     def __getstate__(self) -> dict:  # pickle the four fields, not the memo
         return {k: v for k, v in self.__dict__.items() if k != "_direction"}
@@ -316,10 +316,14 @@ def _reduced(l: int, lp: int, j: int) -> tuple:
     (2 - rho)^k q(rho) below contact rho = 2, k the multiplicity of its zero
     there, and contact its value at R = 2, which the power law scales by
     (2a/R)^(l+l'+1).  Odd l+l'+j (mu = 0) gives (0.0, 0, (), 0.0).
+    l > l' reuses (l', l, j), mu times (-1)^(l-l') (odd parity as is: no -0).
 
     Horner on the expanded polynomial loses its zero at contact (a double
     one for every j < l+l') to cancellation, so (2 - rho)^k is divided out
     of the exact numerators N_p by synthetic division and applied in floats."""
+    if l > lp:
+        mu, *rest = record = _reduced(lp, l, j)
+        return (-mu, *rest) if mu and (l - lp) % 2 else record
     idx = ReducedIndex(l, lp, j)
     mu = mu_coefficient(idx)
     if mu == 0.0:
@@ -336,17 +340,25 @@ def _reduced(l: int, lp: int, j: int) -> tuple:
             triple_bessel_nonoverlap(idx, 2.0, 1.0))
 
 
+def _power(base: float, n: int) -> float:
+    """base ** n, underflowing to 0; OverflowError past the float range."""
+    try:
+        return base ** n
+    except OverflowError:
+        raise OverflowError("element scale exceeds the float range") from None
+
+
 def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
     """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral,
     from the per-(l, l', j) record: (2 - R/a)^k q(R/a) below contact, the
-    stretched power law from R = 2a on."""
+    stretched power law from R = 2a on; OverflowError past the float range."""
     regime = regime_of(R, a)
     mu, k, quotient, contact = _reduced(idx.l, idx.lp, idx.j)
     if regime == "overlap":
         value = _below_contact(k, quotient, R / a)
     else:
         value = contact * (2 * a / R) ** idx.degree
-    return ReducedElement(idx, R, a, mu * a ** idx.degree * value, regime)
+    return ReducedElement(idx, R, a, mu * _power(a, idx.degree) * value, regime)
 
 
 def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
@@ -359,7 +371,7 @@ def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
     coefficients = tuple(mu * (math.pi * (x / denominator)) for x in numerators)
     return RadialPolynomial(len(coefficients) - 1, coefficients,
-                            a ** idx.degree, a, residue=0.0)
+                            _power(a, idx.degree), a, residue=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +397,11 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
 @lru_cache(maxsize=None)
 def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
-    R and the direction: (terms, contact), per surviving j the term
-    (j - |l-l'|, j - |m'-m|, weight): its slot in the radial row of (l, l'),
-    its Legendre index and (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu;
-    and the stretched (j = l+l') weight times its contact value for a = 1."""
+    R and the direction: (terms, contact, (m'-m, l+l'), (l, l'), m'-m), the
+    last three keying its geometry's column, row and phase.  Per surviving j
+    a term (j - |l-l'|, j - |m'-m|, weight): its row slot, its Legendre index
+    and (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu; contact is the
+    stretched (j = l+l') weight times its contact value for a = 1."""
     m1 = mp - m
     terms, contact = [], 0.0
     for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
@@ -399,7 +412,7 @@ def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
             continue
         terms.append((j - abs(l - lp), j - abs(m1), weight))
         contact += weight * at_contact
-    return tuple(terms), contact
+    return tuple(terms), contact, (m1, l + lp), (l, lp), m1
 
 
 def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
@@ -411,36 +424,41 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
         G = sum_j (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m')
             g^j(R) Y_{j, m'-m}(theta, phi),
 
-    which collapses to the m-diagonal z-axis form at theta = 0.  Everything
-    but R and the direction comes from the cached per-channel plan
-    (_channel_plan).  Elements at one geometry object share, for its
-    lifetime, its regime, cos and sin of theta, Legendre columns by
-    (m'-m, l+l') and radial rows by (l, l'): (2 - R/a)^k q(R/a) per j below
-    contact, the power-law factor a^(l+l'+1) (2a/R)^(l+l'+1) from R = 2a on.
+    which collapses to the m-diagonal z-axis form at theta = 0.  One lookup
+    of the cached plan (_channel_plan) gives all but R and the direction.
+    Elements at one geometry share, for its lifetime, its regime, angles,
+    and Legendre columns, radial rows and phases e^(i(m'-m)phi) keyed by the
+    plan.  A row is (2 - R/a)^k q(R/a) per j and a^(l+l'+1) below contact,
+    a^(l+l'+1) (2a/R)^(l+l'+1) from R = 2a on (OverflowError past floats).
     Build one SphereGeometry per block and reuse it: an lmax-4 block needs
-    81 columns and 25 rows (55 radial values) for its 1453 terms."""
-    l, lp, m1 = lm.l, lpmp.l, lpmp.m - lm.m
-    terms, contact = _channel_plan(l, lm.m, lp, lpmp.m)
+    81 columns, 25 rows (55 radial values) and 17 phases for 1453 terms."""
+    terms, contact, column_key, row_key, m1 = _channel_plan(
+        lm.l, lm.m, lpmp.l, lpmp.m)
     if not terms:
         return 0.0 + 0.0j
-    regime, rho, x, s, columns, rows = geom._direction
-    column = columns.get((m1, l + lp))
+    regime, rho, x, s, columns, rows, phases = geom._direction
+    column = columns.get(column_key)
     if column is None:
-        column = columns[m1, l + lp] = _legendre_column(m1, l + lp, x, s)
-    row = rows.get((l, lp))
+        column = columns[column_key] = _legendre_column(*column_key, x, s)
+    row = rows.get(row_key)
     if row is None:
-        row = rows[l, lp] = (
+        l, lp = row_key
+        row = rows[row_key] = (
             [_below_contact(*_reduced(l, lp, j)[1:3], rho)
-             for j in range(abs(l - lp), l + lp + 1)] if regime == "overlap"
-            else (geom.a * 2 / rho) ** (l + lp + 1))
+             for j in range(abs(l - lp), l + lp + 1)]
+            + [_power(geom.a, l + lp + 1)] if regime == "overlap"
+            else _power(geom.a * 2 / rho, l + lp + 1))
     if regime == "overlap":
         acc = 0.0
         for slot, n, weight in terms:
             acc += weight * row[slot] * column[n]
-        acc *= geom.a ** (l + lp + 1)
+        acc *= row[-1]
     else:
         acc = contact * row * column[-1]
-    return acc * cmath.exp(1j * m1 * geom.phi)
+    phase = phases.get(m1)
+    if phase is None:
+        phase = phases[m1] = cmath.exp(1j * m1 * geom.phi)
+    return acc * phase
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,7 @@ def test_exit_code_extreme_inputs(tmp_path, capsys):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("computation error:")
+        assert "exceeds the float range" in err
         assert err.count("\n") == 1
     # vector norms neither underflow nor overflow
     for cmd, flag, vec, norm in (("element", "--R", "1e-200,0,1e-200",

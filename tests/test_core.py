@@ -398,6 +398,43 @@ def test_exchange_symmetry():
         assert g1 == pytest.approx(sign * g2, rel=1e-11, abs=1e-15)
 
 
+class _NeverGreater(int):
+    """An order that never compares greater, so that _reduced builds
+    (l, l', j) with l > l' itself instead of reusing (l', l, j)."""
+
+    def __gt__(self, other):
+        return False
+
+
+def test_swapped_records_keep_their_bits():
+    # each unordered (l, l') is built once; for l > l' the record of
+    # (l', l, j) with mu times (-1)^(l-l') has the bits of the own build,
+    # odd l+l'+j included, where a -0.0 would reach g_reduced and the CLI
+    def bits(record):
+        mu, k, quotient, contact = record
+        return mu.hex(), k, [x.hex() for x in quotient], contact.hex()
+
+    for l in range(9):
+        for lp in range(l):
+            for j in range(l - lp, l + lp + 1):
+                own = core._reduced.__wrapped__(_NeverGreater(l), lp, j)
+                assert bits(core._reduced(l, lp, j)) == bits(own), (l, lp, j)
+
+
+def test_position_space_overflow_is_named():
+    # a^(l+l'+1) past the float range raises a named OverflowError, once
+    # per radial row in matrix_element; a tiny radius still underflows to 0
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        g_reduced(ReducedIndex(3, 3, 6), 3e300, 1e300)
+    assert g_reduced(ReducedIndex(3, 3, 6), 3e-300, 1e-300).value == 0.0
+    p, q = MultipoleIndex(1, 0), MultipoleIndex(1, 1)
+    for rho in (1.3, 3.0):
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            matrix_element(p, q, SphereGeometry(rho * 1e200, 1.1, 0.7, 1e200))
+        assert matrix_element(
+            p, q, SphereGeometry(rho * 1e-200, 1.1, 0.7, 1e-200)) == 0.0
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         g_reduced(ReducedIndex(0, 0, 0), 1.0, -1.0)
@@ -486,6 +523,24 @@ def test_geometry_rejects_nonfinite():
         SphereGeometry(1.0, 0.0, 0.0, math.inf)
 
 
+def test_geometry_rejects_theta_outside_zero_to_pi():
+    # elements read cos theta and |sin theta| but phi as given, so theta = -1
+    # would silently give the elements of another direction
+    for theta in (-1.0, 4.0, 7.0):
+        with pytest.raises(ValueError):
+            SphereGeometry(1.3, theta, 0.0, 1.0)
+    for theta in (-0.0, math.pi):
+        SphereGeometry(1.3, theta, 0.0, 1.0)
+    # theta = -1, phi = 0 is the direction theta = 1, phi = pi
+    p, q = MultipoleIndex(1, 0), MultipoleIndex(1, 1)
+    got = matrix_element(p, q, SphereGeometry.from_vector(
+        (1.3 * math.sin(-1.0), 0.0, 1.3 * math.cos(-1.0)), 1.0))
+    assert got == pytest.approx(
+        matrix_element(p, q, SphereGeometry(1.3, 1.0, math.pi, 1.0)),
+        rel=1e-14)
+    assert got.real == pytest.approx(-0.05629, abs=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # canonical elements
 # ---------------------------------------------------------------------------
@@ -557,7 +612,7 @@ def test_matrix_element_matches_per_term_sum():
            for m in range(-l, l + 1)]
     for a in (0.3, 2.5):
         for rho in (0.0, 0.5, 1.999, 2 * (1 - 1e-12), 2.0, 3.7):
-            for theta in (0.0, math.pi, 1.1, 4.0):
+            for theta in (0.0, math.pi, 1.1, 2.5):
                 geom = SphereGeometry(rho * a, theta, 0.9, a)
                 got = np.array([[matrix_element(p, q, geom) for q in idx]
                                 for p in idx])
@@ -584,7 +639,7 @@ def test_geometry_memo_keeps_every_element(rho):
     # fresh geometry per element
     pairs = [(p, q) for p in _LMAX5 for q in _LMAX5]
     for a in (0.3, 1.3):
-        for theta in (0.0, math.pi, 1.1, -0.4):
+        for theta in (0.0, math.pi, 1.1, 0.4):
             for phi in (0.0, -2.0, 3.0):
                 args = (rho * a, theta, phi, a)
                 want = [_bits(matrix_element(p, q, SphereGeometry(*args)))
@@ -596,6 +651,20 @@ def test_geometry_memo_keeps_every_element(rho):
                 assert [_bits(matrix_element(p, q, geom))
                         for p, q in reversed(pairs)] == want[::-1], \
                     (a, rho, theta, phi)
+
+
+def test_block_memo_holds_columns_rows_and_phases():
+    # an lmax-4 block keeps one Legendre column per (m'-m, l+l'), one radial
+    # row per (l, l') and one phase per m'-m, in either regime
+    idx = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+    for R in (1.3, 2.0, 3.0):
+        geom = SphereGeometry(R, 1.1, 0.7, 1.0)
+        for p in idx:
+            for q in idx:
+                matrix_element(p, q, geom)
+        columns, rows, phases = geom._direction[4:]
+        assert (len(columns), len(rows), len(phases)) == (81, 25, 17)
+        assert phases == {m1: cmath.exp(1j * m1 * 0.7) for m1 in range(-8, 9)}
 
 
 def test_used_geometry_is_still_a_plain_value():
