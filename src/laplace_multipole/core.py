@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -299,7 +300,11 @@ def regime_of(R: float, a: float) -> str:
     """Regime label of separation R for spheres of radius a: overlap
     (R < 2a), boundary (R = 2a) or nonoverlap.  The one check of (R, a):
     ValueError unless a is finite and positive and R finite and
-    non-negative."""
+    non-negative, and for bool or any type that is not numbers.Real."""
+    if type(R) is not float or type(a) is not float:
+        for name, value in (("R", R), ("a", a)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"sphere radius must be finite and positive, got a={a}")
     if not (math.isfinite(R) and R >= 0):
@@ -476,7 +481,7 @@ def _j_over_k(l: int, k: float, a: float) -> float:
 
 def _omega_real(lm, bessel: float, x: float, s: float, a: float) -> float:
     """4 pi a^(l+1) bessel Y_lm(theta, 0) at x = cos(theta), s = sin(theta)."""
-    return (4 * math.pi * a ** (lm.l + 1) * bessel
+    return (4 * math.pi * _power(a, lm.l + 1) * bessel
             * _legendre_column(lm.m, lm.l, x, s)[-1])
 
 
@@ -522,5 +527,5 @@ def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
     if k <= 0.0:
         raise ZeroWaveVector("g_tilde requires k > 0")
     return _finite(2 * math.pi ** 2 * _I_POWERS[-idx.j % 4]
-                   * mu_coefficient(idx) * a ** (idx.degree + 1)
+                   * mu_coefficient(idx) * _power(a, idx.degree + 1)
                    * _j_over_k(idx.l, k, a) * _j_over_k(idx.lp, k, a))

@@ -169,7 +169,9 @@ def test_exit_code_extreme_inputs(tmp_path, capsys):
                   "--R-count", "2", "--radius", "1e300",
                   "--out", str(tmp_path / "t.csv")],
                  ["fourier", "--l", "0", "--m", "0", "--lp", "0", "--mp", "0",
-                  "--k", "1e-200,0,0", "--radius", "1"]):
+                  "--k", "1e-200,0,0", "--radius", "1"],
+                 ["fourier", "--l", "3", "--m", "0", "--lp", "3", "--mp", "0",
+                  "--k", "1e-200,0,0", "--radius", "1e200"]):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == ""

@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -435,6 +436,18 @@ def test_position_space_overflow_is_named():
             p, q, SphereGeometry(rho * 1e-200, 1.1, 0.7, 1e-200)) == 0.0
 
 
+def test_fourier_scale_overflow_is_named():
+    # a^(l+1) and a^(l+l'+2) past the float range raise the same named
+    # OverflowError as the position side, not the bare math range error
+    lm, idx, k = MultipoleIndex(3, 0), ReducedIndex(3, 3, 0), 1e-200
+    for call in (lambda: fourier_matrix_element(lm, lm, (k, 0, 0), a=1e200),
+                 lambda: g_tilde(idx, k, 1e200),
+                 lambda: omega_hat(lm, (k, 0, 0), 1e200)):
+        with pytest.raises(OverflowError,
+                           match="element scale exceeds the float range"):
+            call()
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         g_reduced(ReducedIndex(0, 0, 0), 1.0, -1.0)
@@ -512,6 +525,30 @@ def test_regime_of_labels_and_rejects_nonfinite():
                 overlap_polynomial(idx, a)
 
 
+_P, _Q = MultipoleIndex(1, 0), MultipoleIndex(1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: g_reduced(ReducedIndex(1, 1, 0), v, 1.0),
+    lambda v: g_reduced(ReducedIndex(1, 1, 0), 1.0, v),
+    lambda v: SphereGeometry(v, 0.4, 0.9, 1.0),
+    lambda v: SphereGeometry(1.3, 0.4, 0.9, v),
+    lambda v: matrix_element_zaxis(_P, _P, v, 1.0),
+    lambda v: matrix_element_zaxis(_P, _Q, 1.0, v),
+    lambda v: overlap_polynomial(ReducedIndex(1, 1, 0), v),
+    lambda v: fourier_matrix_element(_P, _Q, (0.3, 0.0, 1.0), v),
+    lambda v: omega_hat(_P, (0.3, 0.0, 1.0), v),
+    lambda v: g_tilde(ReducedIndex(1, 1, 0), 1.3, v),
+], ids=["g-R", "g-a", "geometry-R", "geometry-a", "zaxis-R", "zaxis-a",
+        "polynomial-a", "fourier-a", "omega-a", "g_tilde-a"])
+def test_ill_typed_separations_and_radii_are_rejected(call):
+    # bool would read as 1.0, and Decimal, str or complex fail deep in the
+    # arithmetic or in math.isfinite, so each is a ValueError up front
+    for bad in (True, Decimal("1.3"), "1", 1 + 0j):
+        with pytest.raises(ValueError, match="must be a real number"):
+            call(bad)
+
+
 def test_geometry_rejects_nonfinite():
     with pytest.raises(ValueError):
         SphereGeometry.from_vector((math.nan, 0.0, 1.0), 1.0)
@@ -578,6 +615,23 @@ def test_kernel_conjugate_symmetry():
         w = matrix_element(MultipoleIndex(lp, mp), MultipoleIndex(l, m),
                            flipped)
         assert v == pytest.approx(w.conjugate(), abs=1e-12)
+
+
+def test_block_identity_holds_exactly():
+    # G_{l'm',lm} = (-1)^(l+l') conj(G_{lm,l'm'}) at one geometry, to the bit,
+    # for every pair of lmax-4 channels, in both regimes and at contact
+    idx = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+    for a in (0.7, 1.0, 2.5):
+        for rho in (0.0, 0.37, 1.3, 1.999, 2.0, 2.001, 3.7):
+            for theta in (0.0, math.pi, 0.4, 2.2):
+                for phi in (0.0, -2.1, 2.9):
+                    geom = SphereGeometry(rho * a, theta, phi, a)
+                    for p in idx:
+                        for q in idx:
+                            v = matrix_element(p, q, geom).conjugate()
+                            w = matrix_element(q, p, geom)
+                            assert w == (-v if (p.l + q.l) % 2 else v), (
+                                p, q, geom)
 
 
 def _per_term_block(idx, g, theta, phi):

@@ -349,14 +349,29 @@ def test_bessel_recurrence(l, x):
     assert abs(lhs - rhs) / scale < 1e-12
 
 
-@pytest.mark.parametrize("l", [0, 1, 5, 10, 12, 23, 30])
+@pytest.mark.parametrize("l", [0, 1, 5, 10, 12, 23, 30,
+                               60, 80, 120, 200, 300, 500])
 def test_bessel_against_mpmath(l):
-    # the zeros x = k pi of j_0 inside the Miller range l/2 <= x <= l
-    zeros = [k * math.pi for k in range(1, 10) if l / 2 <= k * math.pi <= l]
+    # the zeros x = k pi of j_0 inside the Miller range 1e-8 <= x <= l, where
+    # it normalizes by j_1; and points below l/2, where an ascending series
+    # would cancel for large l
+    zeros = [k * math.pi for k in range(1, int(l / math.pi) + 1)]
+    below = (0.3 * l, 0.45 * l, math.nextafter(l / 2, 0.0)) if l else ()
     for x in (1e-3, 0.4, float(l) / 2 + 0.3, float(l) + 2.0, 180.0, 1e3,
-              *zeros):
+              *below, *zeros):
         got = spherical_bessel_j(l, x)
         with mpmath.workdps(40):
             want = float(mpmath.sqrt(mpmath.pi / (2 * x))
                          * mpmath.besselj(l + mpmath.mpf(1) / 2, x))
         assert got == pytest.approx(want, rel=1e-13, abs=1e-290)
+
+
+def test_bessel_below_1e_8_is_the_leading_term():
+    # x^l / (2l+1)!! to the last bit: the first correction is under half an
+    # ulp there, and Miller's recurrence goes wrong below about 1e-16
+    for l in (1, 5, 30, 59):
+        for x in (9.99e-9, 1e-100, 1e-300, 5e-324):
+            term = 1.0
+            for i in range(1, l + 1):
+                term *= x / (2 * i + 1)
+            assert spherical_bessel_j(l, x).hex() == term.hex(), (l, x)
