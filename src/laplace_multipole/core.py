@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import PoleResidueError, RegimeError, ZeroWaveVector
 from .specfun import (MultipoleIndex, _check_integer_orders,
-                      _legendre_column, spherical_bessel_j, wigner_3j,
+                      _legendre_column, _real, spherical_bessel_j, wigner_3j,
                       wigner_3j_float)
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n at n % 4
@@ -74,17 +73,33 @@ class ReducedIndex:
 
 
 def _spherical(vec) -> tuple:
-    """(r, theta, phi) of a 3-vector; ValueError unless its length is finite."""
-    x, y, z = map(float, vec)
+    """(r, theta, phi) of a 3-vector of real numbers; ValueError for any other
+    length or component, or unless its length is finite."""
+    x, y, z = (_real("vector component", c) for c in vec)
     r = math.hypot(x, y, z)
     if not math.isfinite(r):
         raise ValueError(f"vector must have a finite length, got {tuple(vec)}")
     return r, math.acos(z / r) if r > 0 else 0.0, math.atan2(y, x)
 
 
+class _Phases(dict):
+    """e^(i n phi) by integer n, each computed on first use and kept."""
+
+    __slots__ = ("phi",)
+
+    def __init__(self, phi: float):
+        super().__init__()
+        self.phi = phi
+
+    def __missing__(self, n: int) -> complex:
+        phase = self[n] = cmath.exp(1j * n * self.phi)
+        return phase
+
+
 @dataclass(frozen=True)
 class SphereGeometry:
-    """Centre separation (R, theta in [0, pi], phi) plus sphere radius."""
+    """Centre separation (R, theta in [0, pi], phi) plus sphere radius,
+    each stored as a float."""
 
     R: float
     theta: float
@@ -92,9 +107,12 @@ class SphereGeometry:
     a: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi and math.isfinite(self.phi)):
+        theta, phi = _real("theta", self.theta), _real("phi", self.phi)
+        if not (0.0 <= theta <= math.pi and math.isfinite(phi)):
             raise ValueError(f"need 0 <= theta <= pi, finite phi: {self}")
-        regime_of(self.R, self.a)
+        _, R, a = _lengths(self.R, self.a)
+        for name, value in zip(("R", "theta", "phi", "a"), (R, theta, phi, a)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_vector(cls, Rvec, a: float) -> "SphereGeometry":
@@ -105,7 +123,8 @@ class SphereGeometry:
         """(regime, R/a, cos theta, |sin theta|, columns by (m'-m, l+l'),
         radial rows by (l, l'), phases e^(i(m'-m)phi) by m'-m)."""
         return (regime_of(self.R, self.a), self.R / self.a,
-                math.cos(self.theta), abs(math.sin(self.theta)), {}, {}, {})
+                math.cos(self.theta), abs(math.sin(self.theta)), {}, {},
+                _Phases(self.phi))
 
     def __getstate__(self) -> dict:  # pickle the four fields, not the memo
         return {k: v for k, v in self.__dict__.items() if k != "_direction"}
@@ -139,10 +158,11 @@ class RadialPolynomial:
     residue: float
 
     def evaluate(self, R: float) -> float:
-        if regime_of(R, self.a) == "nonoverlap":
+        regime, R, a = _lengths(R, self.a)
+        if regime == "nonoverlap":
             raise RegimeError(f"overlap polynomial needs 0 <= R <= 2a, "
-                              f"got R={R}, a={self.a}")
-        return self.scale * _horner(self.coefficients, R / self.a)
+                              f"got R={R}, a={a}")
+        return self.scale * _horner(self.coefficients, R / a)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +195,8 @@ def triple_bessel_nonoverlap(idx: ReducedIndex, R: float, a: float) -> float:
     2^(j+1)) formed as one correctly rounded ratio of integers, so that it
     stays finite where Gamma(j+1/2) alone leaves the floats (j >= 171).
     """
-    if regime_of(R, a) == "overlap":
+    regime, R, a = _lengths(R, a)
+    if regime == "overlap":
         raise RegimeError(f"non-overlap branch needs R >= 2a, got R={R}, a={a}")
     l, lp, j = idx.l, idx.lp, idx.j
     if j != l + lp:
@@ -278,12 +299,13 @@ def _below_contact(k: int, quotient: tuple, rho: float) -> float:
     return (2 - rho) ** k * _horner(quotient, rho)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536, typed=True)  # typed: True misses 1.0's entry
 def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
     """int_0^inf j_j(kR) j_l(ka) j_l'(ka) dk for 0 <= R <= 2a and even
     l+l'+j (ValueError otherwise), read from the per-(l, l', j) record as
     (2 - R/a)^k q(R/a) / a."""
-    if regime_of(R, a) == "nonoverlap":
+    regime, R, a = _lengths(R, a)
+    if regime == "nonoverlap":
         raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
     if not idx.parity_even:
         raise ValueError(f"overlap polynomial defined for even l+l'+j only, "
@@ -298,20 +320,24 @@ def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
 
 def regime_of(R: float, a: float) -> str:
     """Regime label of separation R for spheres of radius a: overlap
-    (R < 2a), boundary (R = 2a) or nonoverlap.  The one check of (R, a):
-    ValueError unless a is finite and positive and R finite and
-    non-negative, and for bool or any type that is not numbers.Real."""
+    (R < 2a), boundary (R = 2a) or nonoverlap.  ValueError unless a is
+    finite and positive and R finite and non-negative, and for bool or any
+    type that is not numbers.Real."""
+    return _lengths(R, a)[0]
+
+
+def _lengths(R, a) -> tuple:
+    """(regime_of(R, a), R, a) with R and a as floats: the one check of
+    (R, a), after which every closed form computes in floats."""
     if type(R) is not float or type(a) is not float:
-        for name, value in (("R", R), ("a", a)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        R, a = _real("R", R), _real("a", a)
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"sphere radius must be finite and positive, got a={a}")
     if not (math.isfinite(R) and R >= 0):
         raise ValueError(f"separation must be finite and non-negative, got R={R}")
     if R < 2 * a:
-        return "overlap"
-    return "boundary" if R == 2 * a else "nonoverlap"
+        return "overlap", R, a
+    return ("boundary" if R == 2 * a else "nonoverlap"), R, a
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +383,7 @@ def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
     """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral,
     from the per-(l, l', j) record: (2 - R/a)^k q(R/a) below contact, the
     stretched power law from R = 2a on; OverflowError past the float range."""
-    regime = regime_of(R, a)
+    regime, R, a = _lengths(R, a)
     mu, k, quotient, contact = _reduced(idx.l, idx.lp, idx.j)
     if regime == "overlap":
         value = _below_contact(k, quotient, R / a)
@@ -371,7 +397,7 @@ def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     g = a^(l+l'+1) * sum_n mu c_n (R/a)^n, expanded; its degree is that
     of the built coefficients, and its residue 0.0, since the build raises
     PoleResidueError for any other.  Even l+l'+j only (ValueError)."""
-    regime_of(0.0, a)
+    _, _, a = _lengths(0.0, a)
     mu = mu_coefficient(idx)
     numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
     coefficients = tuple(mu * (math.pi * (x / denominator)) for x in numerators)
@@ -386,7 +412,7 @@ def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
 def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
                          R: float, a: float) -> complex:
     """Canonical element G_{lm,l'm'}(R e_z); m-diagonal and real."""
-    regime_of(R, a)
+    _, R, a = _lengths(R, a)
     if lm.m != lpmp.m:
         return 0.0 + 0.0j
     l, lp, m = lm.l, lpmp.l, lm.m
@@ -460,10 +486,7 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
         acc *= row[-1]
     else:
         acc = contact * row * column[-1]
-    phase = phases.get(m1)
-    if phase is None:
-        phase = phases[m1] = cmath.exp(1j * m1 * geom.phi)
-    return acc * phase
+    return acc * phases[m1]
 
 
 # ---------------------------------------------------------------------------
@@ -491,37 +514,56 @@ def _finite(value: complex) -> complex:
     return value
 
 
+@lru_cache(maxsize=256, typed=True)  # typed: True misses 1.0's record
+def _wave_record(x, y, z, a) -> tuple:
+    """(|k|, cos theta, sin theta, a, phases e^(i n phi) by n) of the wave
+    vector (x, y, z) at radius a: the radius checked and both converted to
+    floats once, the phases filled on first use."""
+    _, _, a = _lengths(0.0, a)
+    k, theta, phi = _spherical((x, y, z))
+    return k, math.cos(theta), math.sin(theta), a, _Phases(phi)
+
+
+def _wave(kvec, a) -> tuple:
+    """The record of kvec at radius a, kept for the 256 pairs of the two
+    used last.  A vector with a zero component gets a fresh record: -0.0 and 0.0
+    are one key but can give different phases (atan2(0.0, -0.0) is pi)."""
+    x, y, z = kvec
+    build = _wave_record if x and y and z else _wave_record.__wrapped__
+    return build(x, y, z, a)
+
+
 def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
     """Fourier transform of the surface multipole density:
     4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
-    regime_of(0.0, a)  # checks the radius
-    k, theta, phi = _spherical(kvec)
-    return _I_POWERS[-lm.l % 4] * cmath.exp(1j * lm.m * phi) * _omega_real(
-        lm, spherical_bessel_j(lm.l, k * a), math.cos(theta), math.sin(theta), a)
+    k, x, s, a, phases = _wave(kvec, a)
+    return _I_POWERS[-lm.l % 4] * phases[lm.m] * _omega_real(
+        lm, spherical_bessel_j(lm.l, k * a), x, s, a)
 
 
 def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
                            kvec, a: float) -> complex:
     """Fourier-space element conj(omega_hat_lm(k)) omega_hat_l'm'(k) / k^2 from
-    one conversion of k, one cos and sin of theta and one phase i^(l-l')
-    e^(i(m'-m)phi).  Each factor is divided by k first, so the element is
-    finite as k underflows where its true value is; OverflowError past floats."""
-    regime_of(0.0, a)  # checks the radius
-    k, theta, phi = _spherical(kvec)
+    the record of its wave vector (|k|, cos and sin of theta, the radius as a
+    float and one phase e^(i(m'-m)phi) per m'-m), shared by every element at
+    that k and radius, and i^(l-l').  Each factor is divided by k first, so
+    the element is finite as k underflows where its true value is;
+    OverflowError past floats."""
+    k, x, s, a, phases = _wave(kvec, a)
     if k == 0.0:
         raise ZeroWaveVector("Fourier element diverges as 1/k^2 at k = 0")
-    x, s, l, lp = math.cos(theta), math.sin(theta), lm.l, lpmp.l
+    l, lp = lm.l, lpmp.l
     return _finite(_omega_real(lm, _j_over_k(l, k, a), x, s, a)
                    * _omega_real(lpmp, _j_over_k(lp, k, a), x, s, a)
-                   * _I_POWERS[(l - lp) % 4]
-                   * cmath.exp(1j * (lpmp.m - lm.m) * phi))
+                   * _I_POWERS[(l - lp) % 4] * phases[lpmp.m - lm.m])
 
 
 def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
     """Fourier-space reduced element 2 pi^2 (-i)^j mu a^(l+l'+2)
     j_l(ka) j_l'(ka) / k^2, divided by k per Bessel factor as in
     fourier_matrix_element (OverflowError past the float range)."""
-    regime_of(0.0, a)  # checks the radius
+    _, _, a = _lengths(0.0, a)
+    k = _real("k", k)
     if not math.isfinite(k):
         raise ValueError(f"wave number must be finite, got k={k}")
     if k <= 0.0:

@@ -29,6 +29,16 @@ def _check_integer_orders(*orders) -> None:
             raise ValueError(f"orders must be integers, got {n!r}")
 
 
+def _real(name: str, value) -> float:
+    """value as a float; ValueError for bool or a type not numbers.Real, so
+    True never reads as 1.0 and no numpy float32 reaches the arithmetic."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    return value
+
+
 @dataclass(frozen=True)
 class MultipoleIndex:
     """A spherical-harmonic channel (l, m) with -l <= m <= l."""
@@ -249,7 +259,8 @@ def _bessel_miller(l: int, x: float) -> float:
 @lru_cache(maxsize=1024, typed=True)  # typed: True misses 1's entry
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel j_l(x) for integer l >= 0 and finite x >= 0;
-    j_l(0) = delta_{l,0}.
+    j_l(0) = delta_{l,0}.  ValueError for a bool or non-real x; a numpy
+    scalar x is read as a float, so float32 gives the float64 value.
 
     The leading term x^l / (2l+1)!! below x = 1e-8 (its first correction
     is under half an ulp there), Miller's downward recurrence on
@@ -262,6 +273,7 @@ def spherical_bessel_j(l: int, x: float) -> float:
     _check_integer_orders(l)
     if l < 0:
         raise ValueError("order must be non-negative")
+    x = _real("argument", x)  # a numpy float32 overflows in the recurrences
     if not 0.0 <= x < math.inf:
         raise ValueError(f"argument must be finite and non-negative, got {x!r}")
     if x == 0.0:

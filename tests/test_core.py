@@ -1,6 +1,7 @@
 """Tests for the reduced-element closed forms and the canonical elements."""
 import cmath
 import dataclasses
+import itertools
 import math
 import pickle
 from decimal import Decimal
@@ -549,6 +550,130 @@ def test_ill_typed_separations_and_radii_are_rejected(call):
             call(bad)
 
 
+# The input contract of every public position and Fourier callable, one
+# float argument at a time: (id, call of that argument, a valid value, and
+# the outcomes that differ from _CONTRACT_DEFAULT for it).
+_CONTRACT_ROWS = [
+    ("regime_of-R", lambda v: regime_of(v, 1.0), 1.3, {}),
+    ("regime_of-a", lambda v: regime_of(1.3, v), 1.0, {"huge": "finite"}),
+    ("g_reduced-R", lambda v: g_reduced(ReducedIndex(1, 1, 0), v, 1.0).value,
+     1.3, {}),
+    ("g_reduced-a", lambda v: g_reduced(ReducedIndex(1, 1, 0), 1.3, v).value,
+     1.0, {}),
+    ("overlap-R", lambda v: triple_bessel_overlap(ReducedIndex(1, 1, 0), v,
+                                                  1.0), 1.3,
+     {"big": RegimeError}),
+    ("nonoverlap-R", lambda v: triple_bessel_nonoverlap(ReducedIndex(1, 1, 2),
+                                                        v, 1.0),
+     3.3, {"-0.0": RegimeError}),
+    ("polynomial-a", lambda v: overlap_polynomial(ReducedIndex(1, 1, 0),
+                                                  v).scale, 1.5, {}),
+    ("evaluate-R", lambda v: overlap_polynomial(ReducedIndex(1, 1, 0),
+                                                1.0).evaluate(v), 1.3,
+     {"big": RegimeError}),
+    ("zaxis-R", lambda v: matrix_element_zaxis(_P, _P, v, 1.0), 1.3, {}),
+    ("zaxis-a", lambda v: matrix_element_zaxis(_P, _P, 1.3, v), 1.0, {}),
+    ("geometry-R", lambda v: matrix_element(
+        _P, _Q, SphereGeometry(v, 0.4, 0.9, 1.0)), 1.3, {}),
+    ("geometry-theta", lambda v: matrix_element(
+        _P, _Q, SphereGeometry(1.3, v, 0.9, 1.0)), 0.4, {"big": ValueError}),
+    ("geometry-phi", lambda v: matrix_element(
+        _P, _Q, SphereGeometry(1.3, 0.4, v, 1.0)), 0.9,
+     {"negative": "finite", "big": "finite"}),
+    ("geometry-a", lambda v: matrix_element(
+        _P, _Q, SphereGeometry(1.3, 0.4, 0.9, v)), 1.0, {}),
+    ("from_vector", lambda v: matrix_element(
+        _P, _Q, SphereGeometry.from_vector((v, 0.2, 1.0), 1.0)), 0.5,
+     {"negative": "finite"}),
+    ("omega-k", lambda v: omega_hat(_Q, (v, 0.2, 1.0), 1.0), 0.3,
+     {"negative": "finite"}),
+    ("omega-a", lambda v: omega_hat(_Q, (0.3, 0.2, 1.0), v), 1.0, {}),
+    ("fourier-k", lambda v: fourier_matrix_element(_P, _Q, (v, 0.2, 1.0),
+                                                   1.0), 0.3,
+     {"negative": "finite"}),
+    ("fourier-a", lambda v: fourier_matrix_element(_P, _Q, (0.3, 0.2, 1.0),
+                                                   v), 1.0, {}),
+    # float32 read as such overflows j_8(ka) / k to inf here
+    ("g_tilde-k", lambda v: g_tilde(ReducedIndex(8, 8, 0), v, 1.0), 0.05,
+     {"negative": ZeroWaveVector, "-0.0": ZeroWaveVector}),
+    ("g_tilde-a", lambda v: g_tilde(ReducedIndex(1, 1, 0), 1.3, v), 1.0, {}),
+    # float32 read as such gives nan from Miller's recurrence
+    ("bessel-x", lambda v: spherical_bessel_j(10, v), 1.0, {}),
+]
+_CONTRACT_INPUTS = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "negative": -1.0,
+    "-0.0": -0.0, "big": 4.0, "huge": 1e300, "tiny": 1e-300, "bool": True,
+    "str": "1.3", "complex": 1 + 0j, "Decimal": Decimal("1.3"),
+    "float32": np.float32, "float64": np.float64,
+}
+# "same bits": the bits of the call at the value as a Python float;
+# "finite": a finite result; "zero": equal to the call at +0.0
+_CONTRACT_DEFAULT = {
+    "nan": ValueError, "inf": ValueError, "-inf": ValueError,
+    "negative": ValueError, "-0.0": "zero", "big": "finite",
+    "bool": ValueError, "str": ValueError, "complex": ValueError,
+    "Decimal": ValueError, "float32": "same bits", "float64": "same bits",
+}
+# a radius: -0.0 is not positive, and a^(l+1) leaves the floats at 1e300
+_RADIUS = {"-0.0": ValueError, "huge": OverflowError, "tiny": "finite"}
+
+
+def _contract_cases():
+    for row, call, valid, special in _CONTRACT_ROWS:
+        outcomes = {**_CONTRACT_DEFAULT,
+                    **(_RADIUS if row.endswith("-a") else {}), **special}
+        for kind, outcome in outcomes.items():
+            yield pytest.param(call, valid, _CONTRACT_INPUTS[kind], outcome,
+                               id=f"{row}-{kind}")
+    # vectors: a wrong length, or a list or array in place of a tuple
+    vector_calls = {
+        "from_vector": lambda v: matrix_element(
+            _P, _Q, SphereGeometry.from_vector(v, 1.0)),
+        "omega": lambda v: omega_hat(_Q, v, 1.0),
+        "fourier": lambda v: fourier_matrix_element(_P, _Q, v, 1.0)}
+    for row, call in vector_calls.items():
+        for kind, vec in (("short", (0.3, 0.2)),
+                          ("long", (0.3, 0.2, 1.0, 0.0)),
+                          ("list", [0.3, 0.2, 1.0]),
+                          ("array", np.array([0.3, 0.2, 1.0])),
+                          ("array32", np.array([0.3, 0.2, 1.0], np.float32))):
+            outcome = ValueError if kind in ("short", "long") else "same bits"
+            yield pytest.param(call, (0.3, 0.2, 1.0), vec, outcome,
+                               id=f"{row}-vector-{kind}")
+
+
+def _as_float(value):
+    if isinstance(value, np.ndarray):
+        return tuple(float(c) for c in value)
+    return tuple(value) if isinstance(value, list) else float(value)
+
+
+def _hex(value):
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("call, valid, value, outcome", _contract_cases())
+def test_input_contract(call, valid, value, outcome):
+    # out-of-contract input raises the named error, never returns a number;
+    # numpy scalars and vectors in any sequence give the bits of Python floats
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call(value)
+        return
+    if isinstance(value, type):  # a numpy scalar type
+        value = value(valid)
+    got = call(value)
+    if outcome == "same bits":
+        want = call(_as_float(value))
+        assert type(got) is type(want) and _hex(got) == _hex(want)
+    elif outcome == "zero":
+        assert got == call(0.0)
+    else:
+        assert isinstance(got, str) or cmath.isfinite(got)
+
+
 def test_geometry_rejects_nonfinite():
     with pytest.raises(ValueError):
         SphereGeometry.from_vector((math.nan, 0.0, 1.0), 1.0)
@@ -795,6 +920,88 @@ def test_fourier_block_same_cold_and_warm():
     spherical_bessel_j.cache_clear()
     cold = bits(block())
     assert bits(block()) == cold
+
+
+def _fourier_row(kvec, a, cold=False):
+    """Bits of omega_hat and of the elements of one lmax-4 row at kvec,
+    each from an empty wave-vector memo if cold."""
+    def bits(call):
+        if cold:
+            core._wave_record.cache_clear()
+        try:
+            return _bits(complex(call()))
+        except (ValueError, ZeroWaveVector) as exc:
+            return type(exc)
+    p = MultipoleIndex(2, 1)
+    return ([bits(lambda: omega_hat(q, kvec, a)) for q in _LMAX4]
+            + [bits(lambda: fourier_matrix_element(p, q, kvec, a))
+               for q in _LMAX4])
+
+
+def test_wave_records_keep_signed_zeros_apart():
+    # -0.0 == 0.0, but atan2 tells them apart: a memo keyed on the values
+    # gave +1.36e-16j for the cold -1.67e-32 - 1.36e-16j below
+    lm, lpmp = MultipoleIndex(1, 0), MultipoleIndex(2, 1)
+    fourier_matrix_element(lm, lpmp, (0.0, 0.0, -1.0), 1.0)
+    got = fourier_matrix_element(lm, lpmp, (-0.0, 0.0, -1.0), 1.0)
+    core._wave_record.cache_clear()
+    assert _bits(got) == _bits(
+        fourier_matrix_element(lm, lpmp, (-0.0, 0.0, -1.0), 1.0))
+    assert got.real == pytest.approx(-1.67e-32, rel=1e-2)
+    # every sign of zero on every axis, warm after its other signs, k = 0
+    # included (omega_hat's limit; ZeroWaveVector for the element)
+    for kvec in itertools.product((0.0, -0.0, 0.7), (0.0, -0.0, -0.4),
+                                  (0.0, -0.0, 1.1)):
+        for a in (1.0, 1.3):
+            assert _fourier_row(kvec, a) == _fourier_row(kvec, a, cold=True), \
+                (kvec, a)
+
+
+def test_wave_records_stay_within_their_bound():
+    # one record per wave vector and radius, at most 256 however many are
+    # used; an evicted vector gets a new record with the same bits
+    core._wave_record.cache_clear()
+    rng = np.random.default_rng(23)
+    kvecs = [tuple(float(c) for c in rng.uniform(-3.0, 3.0, 3))
+             for _ in range(300)]
+    p, q = MultipoleIndex(3, -2), MultipoleIndex(4, 1)
+    first = [(_bits(fourier_matrix_element(p, q, kv, 1.0)),
+              _bits(omega_hat(q, kv, 1.0))) for kv in kvecs]
+    info = core._wave_record.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (256, 256, 300)
+    again = [(_bits(fourier_matrix_element(p, q, kv, 1.0)),
+              _bits(omega_hat(q, kv, 1.0))) for kv in kvecs]
+    assert again == first
+    core._wave_record.cache_clear()
+    for kv in kvecs[:5]:
+        assert _fourier_row(kv, 1.0) == _fourier_row(kv, 1.0, cold=True)
+    # a block over 8 wave vectors makes 8 records and reads them 5000 times
+    core._wave_record.cache_clear()
+    for q in _LMAX4:
+        for p in _LMAX4:
+            for kv in kvecs[:8]:
+                fourier_matrix_element(p, q, kv, 1.0)
+    info = core._wave_record.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (8, 8, 4992)
+
+
+def test_wave_records_read_any_sequence_and_radius_type():
+    # a list, an array, an int or a numpy radius give the bits of the tuple
+    # and the float, warm or cold (the typed key gives numpy components and
+    # an int radius records of their own); True is still no radius
+    kv = (0.6, -0.3, 1.2)
+    want = _fourier_row(kv, 1.0, cold=True)
+    _fourier_row(kv, 1.0)
+    for vec in (kv, list(kv), np.array(kv)):
+        for a in (1.0, 1, np.float64(1.0)):
+            assert _fourier_row(vec, a) == want, (vec, a)
+            assert _fourier_row(vec, a, cold=True) == want, (vec, a)
+    for call in (lambda: omega_hat(_P, kv, True),
+                 lambda: fourier_matrix_element(_P, _P, kv, True),
+                 lambda: fourier_matrix_element(_P, _P, (True, -0.3, 1.2),
+                                                1.0)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            call()
 
 
 @pytest.mark.parametrize("k", [1e-160, 1e-170, 1e-200])
