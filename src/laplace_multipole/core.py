@@ -75,25 +75,34 @@ class ReducedIndex:
 def _spherical(vec) -> tuple:
     """(r, theta, phi) of a 3-vector of real numbers; ValueError for any other
     length or component, or unless its length is finite."""
-    x, y, z = (_real("vector component", c) for c in vec)
+    try:
+        x, y, z = (_real("vector component", c) for c in vec)
+    except TypeError:  # not iterable
+        raise ValueError(f"vector must be a sequence of 3 real numbers, "
+                         f"got {vec!r}") from None
     r = math.hypot(x, y, z)
     if not math.isfinite(r):
         raise ValueError(f"vector must have a finite length, got {tuple(vec)}")
     return r, math.acos(z / r) if r > 0 else 0.0, math.atan2(y, x)
 
 
-class _Phases(dict):
-    """e^(i n phi) by integer n, each computed on first use and kept."""
+class _Lazy(dict):
+    """Values by key, each computed as fill(key) on first use and kept."""
 
-    __slots__ = ("phi",)
+    __slots__ = ("fill",)
 
-    def __init__(self, phi: float):
+    def __init__(self, fill):
         super().__init__()
-        self.phi = phi
+        self.fill = fill
 
-    def __missing__(self, n: int) -> complex:
-        phase = self[n] = cmath.exp(1j * n * self.phi)
-        return phase
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _phases(phi: float) -> _Lazy:
+    """e^(i n phi) by integer n."""
+    return _Lazy(lambda n: cmath.exp(1j * n * phi))
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ class SphereGeometry:
         radial rows by (l, l'), phases e^(i(m'-m)phi) by m'-m)."""
         return (regime_of(self.R, self.a), self.R / self.a,
                 math.cos(self.theta), abs(math.sin(self.theta)), {}, {},
-                _Phases(self.phi))
+                _phases(self.phi))
 
     def __getstate__(self) -> dict:  # pickle the four fields, not the memo
         return {k: v for k, v in self.__dict__.items() if k != "_direction"}
@@ -502,10 +511,10 @@ def _j_over_k(l: int, k: float, a: float) -> float:
     return math.prod((x / (2 * i + 1) for i in range(2, l + 1)), start=a / 3)
 
 
-def _omega_real(lm, bessel: float, x: float, s: float, a: float) -> float:
-    """4 pi a^(l+1) bessel Y_lm(theta, 0) at x = cos(theta), s = sin(theta)."""
-    return (4 * math.pi * _power(a, lm.l + 1) * bessel
-            * _legendre_column(lm.m, lm.l, x, s)[-1])
+def _radial(l: int, bessel: float, a: float) -> float:
+    """4 pi a^(l+1) bessel: omega_hat's radial factor for bessel = j_l(ka),
+    a Fourier element's for bessel = j_l(ka) / k."""
+    return 4 * math.pi * _power(a, l + 1) * bessel
 
 
 def _finite(value: complex) -> complex:
@@ -516,19 +525,25 @@ def _finite(value: complex) -> complex:
 
 @lru_cache(maxsize=256, typed=True)  # typed: True misses 1.0's record
 def _wave_record(x, y, z, a) -> tuple:
-    """(|k|, cos theta, sin theta, a, phases e^(i n phi) by n) of the wave
-    vector (x, y, z) at radius a: the radius checked and both converted to
-    floats once, the phases filled on first use."""
+    """(|k|, cos theta, sin theta, a, phases e^(i n phi) by n, radial factors
+    4 pi a^(l+1) j_l(ka) / k by l) of the wave vector (x, y, z) at radius a:
+    the radius checked and both converted to floats once, the phases and
+    radial factors filled on first use (no radial factor at k = 0)."""
     _, _, a = _lengths(0.0, a)
     k, theta, phi = _spherical((x, y, z))
-    return k, math.cos(theta), math.sin(theta), a, _Phases(phi)
+    return (k, math.cos(theta), math.sin(theta), a, _phases(phi),
+            _Lazy(lambda l: _radial(l, _j_over_k(l, k, a), a)))
 
 
 def _wave(kvec, a) -> tuple:
     """The record of kvec at radius a, kept for the 256 pairs of the two
     used last.  A vector with a zero component gets a fresh record: -0.0 and 0.0
     are one key but can give different phases (atan2(0.0, -0.0) is pi)."""
-    x, y, z = kvec
+    try:
+        x, y, z = kvec
+    except TypeError:  # not iterable
+        raise ValueError(f"wave vector must be a sequence of 3 real numbers, "
+                         f"got {kvec!r}") from None
     build = _wave_record if x and y and z else _wave_record.__wrapped__
     return build(x, y, z, a)
 
@@ -536,25 +551,28 @@ def _wave(kvec, a) -> tuple:
 def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:
     """Fourier transform of the surface multipole density:
     4 pi a^(l+1) (-i)^l j_l(ka) Y_lm(khat)."""
-    k, x, s, a, phases = _wave(kvec, a)
-    return _I_POWERS[-lm.l % 4] * phases[lm.m] * _omega_real(
-        lm, spherical_bessel_j(lm.l, k * a), x, s, a)
+    k, x, s, a, phases, _ = _wave(kvec, a)
+    l = lm.l
+    return _I_POWERS[-l % 4] * phases[lm.m] * (
+        _radial(l, spherical_bessel_j(l, k * a), a)
+        * _legendre_column(lm.m, l, x, s)[-1])
 
 
 def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
                            kvec, a: float) -> complex:
     """Fourier-space element conj(omega_hat_lm(k)) omega_hat_l'm'(k) / k^2 from
-    the record of its wave vector (|k|, cos and sin of theta, the radius as a
-    float and one phase e^(i(m'-m)phi) per m'-m), shared by every element at
-    that k and radius, and i^(l-l').  Each factor is divided by k first, so
-    the element is finite as k underflows where its true value is;
-    OverflowError past floats."""
-    k, x, s, a, phases = _wave(kvec, a)
+    the record of its wave vector (|k|, cos and sin of theta, one radial
+    factor 4 pi a^(l+1) j_l(ka) / k per l and one phase e^(i(m'-m)phi) per
+    m'-m), shared by every element at that k and radius, the Legendre values
+    Y_lm(theta, 0) and i^(l-l').  Each factor is divided by k first, so the
+    element is finite as k underflows where its true value is; OverflowError
+    past floats."""
+    k, x, s, _, phases, radial = _wave(kvec, a)
     if k == 0.0:
         raise ZeroWaveVector("Fourier element diverges as 1/k^2 at k = 0")
     l, lp = lm.l, lpmp.l
-    return _finite(_omega_real(lm, _j_over_k(l, k, a), x, s, a)
-                   * _omega_real(lpmp, _j_over_k(lp, k, a), x, s, a)
+    return _finite(radial[l] * _legendre_column(lm.m, l, x, s)[-1]
+                   * (radial[lp] * _legendre_column(lpmp.m, lp, x, s)[-1])
                    * _I_POWERS[(l - lp) % 4] * phases[lpmp.m - lm.m])
 
 

@@ -11,9 +11,9 @@ overlap polynomials), and takes only index and geometry types and
 rule on the panels between a list of edges: zero-aligned panels plus an
 analytic oscillatory tail for the triple-Bessel integral, and half-period
 panels with an accelerated tail for both Hankel transforms.  They exist
-only to earn trust (tests and the ``verify`` CLI command).  scipy and
-mpmath are imported by the functions that use them, so importing the
-package does not load them.
+only to earn trust (tests and the ``verify`` CLI command).  scipy, mpmath
+and numpy's Gauss-Legendre rule are imported by the functions that use
+them, so importing the package does not load them.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .core import ReducedIndex, SphereGeometry, regime_of
 from .errors import SingularConfiguration, TailTooLarge
@@ -56,6 +55,7 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=32)
 def _gl(n: int):
+    from numpy.polynomial.legendre import leggauss
     return leggauss(n)
 
 

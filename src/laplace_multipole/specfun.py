@@ -59,13 +59,16 @@ class MultipoleIndex:
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """z-y-z Euler angles in radians; any finite real values are accepted."""
+    """z-y-z Euler angles in radians, each stored as a float; any finite
+    real values are accepted."""
 
     alpha: float
     beta: float
     gamma: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
             raise ValueError(f"Euler angles must be finite, got {self}")
 
@@ -156,6 +159,7 @@ def wigner_small_d(l: int, m: int, mp: int, beta: float) -> float:
     _check_integer_orders(l, m, mp)
     if abs(m) > l or abs(mp) > l:
         raise ValueError("require |m|, |mp| <= l")
+    beta = _real("beta", beta)
     if not math.isfinite(beta):
         raise ValueError(f"angle must be finite, got beta={beta!r}")
     n, p = min(l + m, l - m, l + mp, l - mp), abs(m - mp)
@@ -216,7 +220,8 @@ def _legendre_column(m: int, lmax: int, x: float, s: float) -> list:
 
 def spherical_harmonic(idx: MultipoleIndex, theta: float, phi: float) -> complex:
     """Y_lm(theta, phi), Condon-Shortley phase; Y_lm(0, .) = delta_{m,0} sqrt((2l+1)/4pi).
-    ValueError unless both angles are finite."""
+    ValueError unless both angles are finite real numbers."""
+    theta, phi = _real("theta", theta), _real("phi", phi)
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"angles must be finite, got theta={theta!r}, "
                          f"phi={phi!r}")
@@ -267,8 +272,10 @@ def spherical_bessel_j(l: int, x: float) -> float:
     1e-8 <= x <= l, the upward recurrence above l, where it is stable.
     Measured within 2.5e-14 relative of 60-digit mpmath for l <= 500 up
     to x = l (2.1e-15 for l <= 30), and tested to 1e-13 up to x = 1e3.
-    Memoized per (l, x), at most 1024 entries: a block of Fourier
-    elements at one |k| repeats each (l, ka) many times.
+    Memoized per (l, x), at most 1024 entries: omega_hat and g_tilde at
+    one |k| repeat each (l, ka).  Fourier elements keep j_l(ka) / k in the
+    record of their wave vector, so a block makes one call per order and
+    wave vector.
     """
     _check_integer_orders(l)
     if l < 0:

@@ -36,8 +36,10 @@ from laplace_multipole.errors import (
     RegimeError,
     ZeroWaveVector,
 )
-from laplace_multipole.specfun import (MultipoleIndex, spherical_bessel_j,
-                                       wigner_3j_float)
+from laplace_multipole.specfun import (EulerAngles, MultipoleIndex,
+                                       spherical_bessel_j, spherical_harmonic,
+                                       wigner_3j_float, wigner_D,
+                                       wigner_small_d)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +552,9 @@ def test_ill_typed_separations_and_radii_are_rejected(call):
             call(bad)
 
 
-# The input contract of every public position and Fourier callable, one
-# float argument at a time: (id, call of that argument, a valid value, and
+_ANGLE = {"negative": "finite"}
+# The input contract of every public position and Fourier callable and of
+# the angles of the special functions, one float argument at a time: (id, call of that argument, a valid value, and
 # the outcomes that differ from _CONTRACT_DEFAULT for it).
 _CONTRACT_ROWS = [
     ("regime_of-R", lambda v: regime_of(v, 1.0), 1.3, {}),
@@ -599,6 +602,16 @@ _CONTRACT_ROWS = [
     ("g_tilde-a", lambda v: g_tilde(ReducedIndex(1, 1, 0), 1.3, v), 1.0, {}),
     # float32 read as such gives nan from Miller's recurrence
     ("bessel-x", lambda v: spherical_bessel_j(10, v), 1.0, {}),
+    # angles: any finite real value
+    ("Y-theta", lambda v: spherical_harmonic(_Q, v, 0.9), 0.4, _ANGLE),
+    ("Y-phi", lambda v: spherical_harmonic(_Q, 0.4, v), 0.9, _ANGLE),
+    ("d-beta", lambda v: wigner_small_d(2, 1, 0, v), 0.4, _ANGLE),
+    ("D-alpha", lambda v: wigner_D(2, 1, 0, EulerAngles(v, 0.4, 0.2)), 0.9,
+     _ANGLE),
+    ("D-beta", lambda v: wigner_D(2, 1, 0, EulerAngles(0.9, v, 0.2)), 0.4,
+     _ANGLE),
+    ("D-gamma", lambda v: wigner_D(2, 1, 1, EulerAngles(0.9, 0.4, v)), 0.2,
+     _ANGLE),
 ]
 _CONTRACT_INPUTS = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "negative": -1.0,
@@ -625,7 +638,8 @@ def _contract_cases():
         for kind, outcome in outcomes.items():
             yield pytest.param(call, valid, _CONTRACT_INPUTS[kind], outcome,
                                id=f"{row}-{kind}")
-    # vectors: a wrong length, or a list or array in place of a tuple
+    # vectors: a wrong length or no sequence, or a list or array in place of
+    # a tuple
     vector_calls = {
         "from_vector": lambda v: matrix_element(
             _P, _Q, SphereGeometry.from_vector(v, 1.0)),
@@ -634,10 +648,12 @@ def _contract_cases():
     for row, call in vector_calls.items():
         for kind, vec in (("short", (0.3, 0.2)),
                           ("long", (0.3, 0.2, 1.0, 0.0)),
+                          ("float", 1.0), ("None", None),
                           ("list", [0.3, 0.2, 1.0]),
                           ("array", np.array([0.3, 0.2, 1.0])),
                           ("array32", np.array([0.3, 0.2, 1.0], np.float32))):
-            outcome = ValueError if kind in ("short", "long") else "same bits"
+            outcome = ("same bits" if kind.startswith(("list", "array"))
+                       else ValueError)
             yield pytest.param(call, (0.3, 0.2, 1.0), vec, outcome,
                                id=f"{row}-vector-{kind}")
 
@@ -903,7 +919,7 @@ def test_fourier_element_matches_gaunt_sum():
 
 
 def test_fourier_block_same_cold_and_warm():
-    # memoized Bessel values change no bit of a block
+    # memoized Bessel values and wave records change no bit of a block
     lmax, a = 4, 1.3
     idx = [MultipoleIndex(l, m) for l in range(lmax + 1)
            for m in range(-l, l + 1)]
@@ -918,8 +934,49 @@ def test_fourier_block_same_cold_and_warm():
         return [(z.real.hex(), z.imag.hex()) for row in rows for z in row]
 
     spherical_bessel_j.cache_clear()
+    core._wave_record.cache_clear()
     cold = bits(block())
     assert bits(block()) == cold
+
+
+def _scipy_omega(lm, kvec, a):
+    k = math.hypot(*kvec)
+    theta, phi = math.acos(kvec[2] / k), math.atan2(kvec[1], kvec[0])
+    return (4 * math.pi * a ** (lm.l + 1) * (-1j) ** lm.l
+            * spherical_jn(lm.l, k * a) * complex(sph_harm_y(lm.l, lm.m,
+                                                             theta, phi)))
+
+
+def test_fourier_values_match_scipy_warm_and_cold():
+    # scipy's spherical_jn and sph_harm_y share no step with the Bessel memo,
+    # the Legendre recurrence or the wave records that the elements read
+    a = 1.3
+    rng = np.random.default_rng(24)
+    kvecs = []
+    for _ in range(8):
+        u = rng.normal(size=3)
+        kvecs.append(tuple(float(c) for c in
+                           rng.uniform(0.1, 10.0) / a * u / np.linalg.norm(u)))
+    omega = {(p, kv): _scipy_omega(p, kv, a) for p in _LMAX4 for kv in kvecs}
+    want = np.array([[sum(omega[p, kv].conjugate() * omega[q, kv]
+                          / math.hypot(*kv) ** 2 for kv in kvecs)
+                      for q in _LMAX4] for p in _LMAX4])
+
+    def cleared(call):
+        core._wave_record.cache_clear()
+        spherical_bessel_j.cache_clear()
+        return call()
+
+    for read in (lambda call: call(), cleared):
+        got = np.array([[sum(read(lambda: fourier_matrix_element(p, q, kv, a))
+                             for kv in kvecs) for q in _LMAX4]
+                        for p in _LMAX4])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        got = np.array([read(lambda: omega_hat(p, kv, a))
+                        for p, kv in omega])
+        want_omega = np.array(list(omega.values()))
+        assert (np.abs(got - want_omega).max()
+                <= 1e-13 * np.abs(want_omega).max())
 
 
 def _fourier_row(kvec, a, cold=False):
@@ -975,14 +1032,18 @@ def test_wave_records_stay_within_their_bound():
     core._wave_record.cache_clear()
     for kv in kvecs[:5]:
         assert _fourier_row(kv, 1.0) == _fourier_row(kv, 1.0, cold=True)
-    # a block over 8 wave vectors makes 8 records and reads them 5000 times
+    # a block over 8 wave vectors makes 8 records and reads them 5000 times,
+    # and one Bessel value per order and record
     core._wave_record.cache_clear()
+    spherical_bessel_j.cache_clear()
     for q in _LMAX4:
         for p in _LMAX4:
             for kv in kvecs[:8]:
                 fourier_matrix_element(p, q, kv, 1.0)
     info = core._wave_record.cache_info()
     assert (info.currsize, info.misses, info.hits) == (8, 8, 4992)
+    info = spherical_bessel_j.cache_info()
+    assert (info.misses, info.hits) == (40, 0)
 
 
 def test_wave_records_read_any_sequence_and_radius_type():
