@@ -100,6 +100,12 @@ class _Lazy(dict):
         return value
 
 
+def _unkey(key: int) -> tuple:
+    """The pair (n, L) with |n| <= L of the integer key L^2 + L + n."""
+    L = math.isqrt(key)
+    return key - L * L - L, L
+
+
 def _phases(phi: float) -> _Lazy:
     """e^(i n phi) by integer n."""
     return _Lazy(lambda n: cmath.exp(1j * n * phi))
@@ -129,11 +135,25 @@ class SphereGeometry:
 
     @cached_property
     def _direction(self) -> tuple:
-        """(regime, R/a, cos theta, |sin theta|, columns by (m'-m, l+l'),
-        radial rows by (l, l'), phases e^(i(m'-m)phi) by m'-m)."""
-        return (regime_of(self.R, self.a), self.R / self.a,
-                math.cos(self.theta), abs(math.sin(self.theta)), {}, {},
-                _phases(self.phi))
+        """(R < 2a, Legendre columns Y_{j,m'-m}(theta, 0) for j = |m'-m| ..
+        l+l', radial rows as in matrix_element, phases e^(i(m'-m)phi)), each
+        filled on first use by its _channel_plan key."""
+        overlap = regime_of(self.R, self.a) == "overlap"
+        # the fills hold these floats, not self: a cycle would outlive the block
+        a, rho, x, s = (self.a, self.R / self.a, math.cos(self.theta),
+                        abs(math.sin(self.theta)))
+
+        def row(key):
+            d, n = _unkey(key)
+            if not overlap:
+                return _power(a * 2 / rho, n + 1)
+            lo = (n - d) // 2  # k and q of (l, l', j) are those of (l', l, j)
+            return ([_below_contact(*_reduced(lo, n - lo, j)[1:3], rho)
+                     for j in range(d, n + 1)] + [_power(a, n + 1)])
+
+        return (overlap,
+                _Lazy(lambda key: _legendre_column(*_unkey(key), x, s)),
+                _Lazy(row), _phases(self.phi))
 
     def __getstate__(self) -> dict:  # pickle the four fields, not the memo
         return {k: v for k, v in self.__dict__.items() if k != "_direction"}
@@ -437,8 +457,10 @@ def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
 @lru_cache(maxsize=None)
 def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
-    R and the direction: (terms, contact, (m'-m, l+l'), (l, l'), m'-m), the
-    last three keying its geometry's column, row and phase.  Per surviving j
+    R and the direction: (terms, contact, column, row, m'-m), the last three
+    the integer keys of its geometry's column, row and phase: column and row
+    the keys L^2 + L + n (_unkey) of (m'-m, l+l') and of (|l-l'|, l+l'), so
+    (l, l') and (l', l) share a row.  Per surviving j
     a term (j - |l-l'|, j - |m'-m|, weight): its row slot, its Legendre index
     and (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu; contact is the
     stretched (j = l+l') weight times its contact value for a = 1."""
@@ -452,7 +474,8 @@ def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
             continue
         terms.append((j - abs(l - lp), j - abs(m1), weight))
         contact += weight * at_contact
-    return tuple(terms), contact, (m1, l + lp), (l, lp), m1
+    key = (l + lp) * (l + lp + 1)
+    return tuple(terms), contact, key + m1, key + abs(l - lp), m1
 
 
 def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
@@ -464,31 +487,21 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
         G = sum_j (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m')
             g^j(R) Y_{j, m'-m}(theta, phi),
 
-    which collapses to the m-diagonal z-axis form at theta = 0.  One lookup
-    of the cached plan (_channel_plan) gives all but R and the direction.
-    Elements at one geometry share, for its lifetime, its regime, angles,
-    and Legendre columns, radial rows and phases e^(i(m'-m)phi) keyed by the
-    plan.  A row is (2 - R/a)^k q(R/a) per j and a^(l+l'+1) below contact,
-    a^(l+l'+1) (2a/R)^(l+l'+1) from R = 2a on (OverflowError past floats).
-    Build one SphereGeometry per block and reuse it: an lmax-4 block needs
-    81 columns, 25 rows (55 radial values) and 17 phases for 1453 terms."""
+    which collapses to the m-diagonal z-axis form at theta = 0.  One lookup of
+    the cached plan (_channel_plan) gives all but R and the direction, and the
+    keys of the column, radial row and phase that elements at one geometry
+    share (SphereGeometry._direction).  A row is (2 - R/a)^k q(R/a) per j and
+    a^(l+l'+1) below contact, a^(l+l'+1) (2a/R)^(l+l'+1) from R = 2a on
+    (OverflowError past floats).  Build one SphereGeometry per block and reuse
+    it: an lmax-4 block needs 81 columns, 15 rows (35 radial values) and 17
+    phases for 1453 terms."""
     terms, contact, column_key, row_key, m1 = _channel_plan(
         lm.l, lm.m, lpmp.l, lpmp.m)
     if not terms:
         return 0.0 + 0.0j
-    regime, rho, x, s, columns, rows, phases = geom._direction
-    column = columns.get(column_key)
-    if column is None:
-        column = columns[column_key] = _legendre_column(*column_key, x, s)
-    row = rows.get(row_key)
-    if row is None:
-        l, lp = row_key
-        row = rows[row_key] = (
-            [_below_contact(*_reduced(l, lp, j)[1:3], rho)
-             for j in range(abs(l - lp), l + lp + 1)]
-            + [_power(geom.a, l + lp + 1)] if regime == "overlap"
-            else _power(geom.a * 2 / rho, l + lp + 1))
-    if regime == "overlap":
+    overlap, columns, rows, phases = geom._direction
+    column, row = columns[column_key], rows[row_key]
+    if overlap:
         acc = 0.0
         for slot, n, weight in terms:
             acc += weight * row[slot] * column[n]

@@ -91,57 +91,54 @@ class ThreeJValue:
         return self.sign != 0
 
 
-_THREEJ_ZERO = ThreeJValue(0, Fraction(0))
-
-
-def _selection_rules_ok(l1, l2, l3, m1, m2, m3) -> bool:
-    if m1 + m2 + m3 != 0:
-        return False
-    if not abs(l1 - l2) <= l3 <= l1 + l2:
-        return False
-    return abs(m1) <= l1 and abs(m2) <= l2 and abs(m3) <= l3
+def _racah(*orders) -> tuple:
+    """(sign, n, d): the 3-j symbol is sign * sqrt(n / d), and (0, 0, 1)
+    outside the selection rules.  Racah's single sum over t runs in integers
+    over one common denominator, each of its six factorials at its largest
+    value; each term is the last times an exact ratio."""
+    _check_integer_orders(*orders)
+    l1, l2, l3, m1, m2, m3 = map(int, orders)  # numpy ints overflow the sum
+    if min(l1, l2, l3) < 0:
+        raise ValueError("3-j orders must be non-negative")
+    if (m1 + m2 + m3 or not abs(l1 - l2) <= l3 <= l1 + l2
+            or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3):
+        return 0, 0, 1
+    f = math.factorial
+    r1, r2 = l3 - l2 + m1, l3 - l1 - m2
+    f1, f2, f3 = l1 + l2 - l3, l1 - m1, l2 + m2
+    tmin, tmax = max(0, -r1, -r2), min(f1, f2, f3)
+    s = term = (-1) ** tmin * math.prod(  # the t = tmin term times den
+        math.perm(c + tmax, tmax - tmin) for c in (0, r1, r2))
+    for t in range(tmin, tmax):
+        term = -term * (f1 - t) * (f2 - t) * (f3 - t) // (
+            (t + 1) * (r1 + t + 1) * (r2 + t + 1))
+        s += term
+    if not s:
+        return 0, 0, 1
+    den = (f(tmax) * f(r1 + tmax) * f(r2 + tmax)
+           * f(f1 - tmin) * f(f2 - tmin) * f(f3 - tmin))
+    # triangle coefficient and magnetic factorials, kept under the root
+    radical = (f(l1 + l2 - l3) * f(l1 - l2 + l3) * f(-l1 + l2 + l3)
+               * f(l1 + m1) * f(l1 - m1) * f(l2 + m2) * f(l2 - m2)
+               * f(l3 + m3) * f(l3 - m3))
+    sign = (-1 if (l1 - l2 - m3) % 2 else 1) * (1 if s > 0 else -1)
+    return sign, s * s * radical, den * den * f(l1 + l2 + l3 + 1)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 1.0 and True miss 1's entry
 def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> ThreeJValue:
-    """Exact Wigner 3-j symbol via the Racah single-sum formula.
-
-    Inputs violating the selection rules (including |m| > l) return an
-    exact zero rather than raising, so rectangular index sweeps can rely
-    on the zeros.
-    """
-    _check_integer_orders(l1, l2, l3, m1, m2, m3)
-    if min(l1, l2, l3) < 0:
-        raise ValueError("3-j orders must be non-negative")
-    if not _selection_rules_ok(l1, l2, l3, m1, m2, m3):
-        return _THREEJ_ZERO
-
-    f = math.factorial
-    # triangle coefficient and magnetic factorials, kept under the root
-    radical = Fraction(
-        f(l1 + l2 - l3) * f(l1 - l2 + l3) * f(-l1 + l2 + l3)
-        * f(l1 + m1) * f(l1 - m1) * f(l2 + m2) * f(l2 - m2)
-        * f(l3 + m3) * f(l3 - m3),
-        f(l1 + l2 + l3 + 1),
-    )
-    tmin = max(0, l2 - l3 - m1, l1 - l3 + m2)
-    tmax = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-    s = Fraction(0)
-    for t in range(tmin, tmax + 1):
-        den = (
-            f(t) * f(l3 - l2 + t + m1) * f(l3 - l1 + t - m2)
-            * f(l1 + l2 - l3 - t) * f(l1 - t - m1) * f(l2 + m2 - t)
-        )
-        s += Fraction((-1) ** t, den)
-    if s == 0:
-        return _THREEJ_ZERO
-    phase = -1 if (l1 - l2 - m3) % 2 else 1
-    signed = phase * (1 if s > 0 else -1)
-    return ThreeJValue(signed, s * s * radical)
+    """Exact Wigner 3-j symbol from the integer sum _racah: an exact zero, not
+    an error, outside the selection rules, so index sweeps can rely on it."""
+    sign, n, d = _racah(l1, l2, l3, m1, m2, m3)
+    return ThreeJValue(sign, Fraction(n, d))
 
 
+@lru_cache(maxsize=16384, typed=True)  # typed: 1.0 and True miss 1's entry
 def wigner_3j_float(l1, l2, l3, m1, m2, m3) -> float:
-    return wigner_3j(l1, l2, l3, m1, m2, m3).to_float()
+    """wigner_3j(...).to_float() bit for bit (n / d of integers rounds once)
+    without the exact cache; memoized for 16384 symbols, the lmax-6 plans'."""
+    sign, n, d = _racah(l1, l2, l3, m1, m2, m3)
+    return sign * math.sqrt(n / d)
 
 
 # ---------------------------------------------------------------------------

@@ -850,16 +850,39 @@ def test_geometry_memo_keeps_every_element(rho):
 
 def test_block_memo_holds_columns_rows_and_phases():
     # an lmax-4 block keeps one Legendre column per (m'-m, l+l'), one radial
-    # row per (l, l') and one phase per m'-m, in either regime
+    # row per unordered (l, l') and one phase per m'-m, in either regime;
+    # below contact the rows hold 35 radial values of even l+l'+j
     idx = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
     for R in (1.3, 2.0, 3.0):
         geom = SphereGeometry(R, 1.1, 0.7, 1.0)
         for p in idx:
             for q in idx:
                 matrix_element(p, q, geom)
-        columns, rows, phases = geom._direction[4:]
-        assert (len(columns), len(rows), len(phases)) == (81, 25, 17)
+        overlap, columns, rows, phases = geom._direction
+        assert (len(columns), len(rows), len(phases)) == (81, 15, 17)
         assert phases == {m1: cmath.exp(1j * m1 * 0.7) for m1 in range(-8, 9)}
+        assert overlap == (R < 2.0)
+        if overlap:
+            assert sum(v != 0.0 for row in rows.values() for v in row[:-1]) == 35
+
+
+def test_cold_block_makes_one_exact_threej_per_record():
+    # the plans read their 3-j floats from the integer sum, not the exact
+    # cache: a cold lmax-4 block leaves one exact symbol per built (l <= l',
+    # j) record (its mu), and the float memo stays within its bound
+    from laplace_multipole import specfun
+
+    core._reduced.cache_clear()
+    core._channel_plan.cache_clear()
+    specfun.wigner_3j.cache_clear()
+    idx = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+    geom = SphereGeometry(1.3, 1.1, 0.7, 1.0)
+    for p in idx:
+        for q in idx:
+            matrix_element(p, q, geom)
+    assert specfun.wigner_3j.cache_info().currsize == 55
+    info = specfun.wigner_3j_float.cache_info()
+    assert info.currsize <= info.maxsize == 16384
 
 
 def test_used_geometry_is_still_a_plain_value():
@@ -874,6 +897,25 @@ def test_used_geometry_is_still_a_plain_value():
     copy = pickle.loads(pickle.dumps(used))
     assert copy == fresh and hash(copy) == hash(fresh)
     assert _bits(matrix_element(p, q, copy)) == _bits(want)
+
+
+def test_used_geometry_is_freed_without_the_cycle_collector():
+    # the memo's fill functions must not hold the geometry: a reference
+    # cycle would keep every used block's memo until a full collection
+    import gc
+    import weakref
+
+    for R in (1.21, 3.0):
+        geom = SphereGeometry(R, 1.1, -2.0, 1.0)
+        for p in _LMAX5:
+            matrix_element(p, MultipoleIndex(3, -1), geom)
+        ref = weakref.ref(geom)
+        gc.disable()
+        try:
+            del geom
+            assert ref() is None, R
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,32 @@ def test_threej_selection_rules(l1, l2, l3, m1, m2):
             assert (l1 + l2 + l3) % 2 == 0
 
 
+def test_threej_matches_sympy_exactly():
+    # an independent reference: sympy's 3-j symbols, as sign and exact
+    # square, for seeded random symbols up to l = 20; the float path keeps
+    # the bits of the exact value's float
+    import random
+
+    import sympy
+    from sympy.physics.wigner import wigner_3j as reference
+
+    rng = random.Random(2025)
+    for _ in range(400):
+        l1, l2 = rng.randint(0, 20), rng.randint(0, 20)
+        l3 = rng.randint(abs(l1 - l2), l1 + l2)
+        m1, m2 = rng.randint(-l1, l1), rng.randint(-l2, l2)
+        args = (l1, l2, l3, m1, m2, -m1 - m2)
+        got, want = wigner_3j(*args), reference(*args)
+        square = sympy.Rational(want ** 2)
+        assert (got.sign, got.radicand) == (
+            int(sympy.sign(want)), Fraction(int(square.p), int(square.q))), args
+        assert wigner_3j_float(*args).hex() == got.to_float().hex(), args
+        # numpy integer orders give the same values (int64 would overflow)
+        orders = tuple(map(np.int64, args))
+        assert (wigner_3j(*orders), wigner_3j_float(*orders)) == (
+            got, wigner_3j_float(*args)), args
+
+
 def test_threej_orthogonality_exact():
     # sum_m (2j+1) (l l' j; m -m 0)(l l' j'; m -m 0) = delta_{j,j'},
     # carried out in exact radical arithmetic
