@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import PoleResidueError, RegimeError, ZeroWaveVector
-from .specfun import (MultipoleIndex, _check_integer_orders,
-                      _legendre_column, _real, spherical_bessel_j, wigner_3j,
-                      wigner_3j_float)
+from .specfun import (MultipoleIndex, _integers, _legendre_column, _real,
+                      spherical_bessel_j, wigner_3j, wigner_3j_float)
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n at n % 4
 
@@ -40,10 +39,9 @@ class ReducedIndex:
     j: int
 
     def __post_init__(self):
-        _check_integer_orders(self.l, self.lp, self.j)
-        # Python ints, so that no numpy integer reaches the exact builds
-        for name in ("l", "lp", "j"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        orders = _integers(self.l, self.lp, self.j)
+        for name, n in zip(("l", "lp", "j"), orders):
+            object.__setattr__(self, name, n)
         if min(self.l, self.lp, self.j) < 0:
             raise ValueError("orders must be non-negative")
         if not abs(self.l - self.lp) <= self.j <= self.l + self.lp:
@@ -64,7 +62,7 @@ class ReducedIndex:
     def admissible(cls, lmax: int) -> list:
         """Every index with l, l' <= lmax and even l+l'+j, in (l, l', j)
         order; ValueError for a negative lmax."""
-        _check_integer_orders(lmax)
+        [lmax] = _integers(lmax)
         if lmax < 0:
             raise ValueError(f"lmax must be non-negative, got {lmax}")
         orders = range(lmax + 1)
@@ -123,8 +121,8 @@ class SphereGeometry:
 
     def __post_init__(self):
         theta, phi = _real("theta", self.theta), _real("phi", self.phi)
-        if not (0.0 <= theta <= math.pi and math.isfinite(phi)):
-            raise ValueError(f"need 0 <= theta <= pi, finite phi: {self}")
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"need 0 <= theta <= pi, got theta={theta!r}")
         _, R, a = _lengths(self.R, self.a)
         for name, value in zip(("R", "theta", "phi", "a"), (R, theta, phi, a)):
             object.__setattr__(self, name, value)
@@ -358,11 +356,10 @@ def regime_of(R: float, a: float) -> str:
 def _lengths(R, a) -> tuple:
     """(regime_of(R, a), R, a) with R and a as floats: the one check of
     (R, a), after which every closed form computes in floats."""
-    if type(R) is not float or type(a) is not float:
-        R, a = _real("R", R), _real("a", a)
-    if not (math.isfinite(a) and a > 0):
+    R, a = _real("R", R), _real("a", a)
+    if not a > 0:
         raise ValueError(f"sphere radius must be finite and positive, got a={a}")
-    if not (math.isfinite(R) and R >= 0):
+    if not R >= 0:
         raise ValueError(f"separation must be finite and non-negative, got R={R}")
     if R < 2 * a:
         return "overlap", R, a
@@ -468,6 +465,8 @@ def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     terms, contact = [], 0.0
     for j in range(max(abs(l - lp), abs(m1)), l + lp + 1):
         mu, _, _, at_contact = _reduced(l, lp, j)
+        if not mu:  # odd l+l'+j: no 3-j needed
+            continue
         weight = ((-1 if mp % 2 else 1) * math.sqrt(4 * math.pi / (2 * j + 1))
                   * wigner_3j_float(j, l, lp, m1, m, -mp) * mu)
         if weight == 0.0:
@@ -497,8 +496,6 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
     phases for 1453 terms."""
     terms, contact, column_key, row_key, m1 = _channel_plan(
         lm.l, lm.m, lpmp.l, lpmp.m)
-    if not terms:
-        return 0.0 + 0.0j
     overlap, columns, rows, phases = geom._direction
     column, row = columns[column_key], rows[row_key]
     if overlap:
@@ -595,8 +592,6 @@ def g_tilde(idx: ReducedIndex, k: float, a: float) -> complex:
     fourier_matrix_element (OverflowError past the float range)."""
     _, _, a = _lengths(0.0, a)
     k = _real("k", k)
-    if not math.isfinite(k):
-        raise ValueError(f"wave number must be finite, got k={k}")
     if k <= 0.0:
         raise ZeroWaveVector("g_tilde requires k > 0")
     return _finite(2 * math.pi ** 2 * _I_POWERS[-idx.j % 4]

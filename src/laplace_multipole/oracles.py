@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ReducedIndex, SphereGeometry, regime_of
 from .errors import SingularConfiguration, TailTooLarge
-from .specfun import MultipoleIndex, _check_integer_orders
+from .specfun import MultipoleIndex, _integers
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class QuadratureSpec:
     tail_order: int = 14
 
     def __post_init__(self):
-        _check_integer_orders(self.node_count, self.tail_order)
+        _integers(self.node_count, self.tail_order)
         if self.node_count < 8:
             raise ValueError("node_count must be at least 8")
         if not (math.isfinite(self.k_max) and self.k_max > 0):

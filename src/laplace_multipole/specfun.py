@@ -19,23 +19,29 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 
-def _check_integer_orders(*orders) -> None:
-    """ValueError unless every order is an integer (bool excluded; numpy
-    integers are accepted)."""
+def _integers(*orders) -> tuple:
+    """The orders as Python ints; ValueError unless each is an integer (bool
+    excluded; numpy integers are accepted, and none reaches the exact sums)."""
     for n in orders:
         # the type test keeps the common case off the slower ABC check
         if type(n) is not int and (isinstance(n, bool)
                                    or not isinstance(n, numbers.Integral)):
             raise ValueError(f"orders must be integers, got {n!r}")
+    return tuple(map(int, orders))
 
 
 def _real(name: str, value) -> float:
-    """value as a float; ValueError for bool or a type not numbers.Real, so
-    True never reads as 1.0 and no numpy float32 reaches the arithmetic."""
+    """value as a finite float: the one check of every real input.
+    ValueError, naming it as name=value, for NaN, +-inf, bool or a type not
+    numbers.Real, so True never reads as 1.0 and no numpy float32 reaches
+    the arithmetic."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+            raise ValueError(f"{name} must be a real number, "
+                             f"got {name}={value!r}")
         value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {name}={value!r}")
     return value
 
 
@@ -47,10 +53,8 @@ class MultipoleIndex:
     m: int
 
     def __post_init__(self):
-        _check_integer_orders(self.l, self.m)
-        # Python ints, so that no numpy integer reaches the exact builds
-        object.__setattr__(self, "l", int(self.l))
-        object.__setattr__(self, "m", int(self.m))
+        for name, n in zip(("l", "m"), _integers(self.l, self.m)):
+            object.__setattr__(self, name, n)
         if self.l < 0:
             raise ValueError(f"multipole order must be non-negative, got l={self.l}")
         if abs(self.m) > self.l:
@@ -69,8 +73,6 @@ class EulerAngles:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
-            raise ValueError(f"Euler angles must be finite, got {self}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +98,7 @@ def _racah(*orders) -> tuple:
     outside the selection rules.  Racah's single sum over t runs in integers
     over one common denominator, each of its six factorials at its largest
     value; each term is the last times an exact ratio."""
-    _check_integer_orders(*orders)
-    l1, l2, l3, m1, m2, m3 = map(int, orders)  # numpy ints overflow the sum
+    l1, l2, l3, m1, m2, m3 = _integers(*orders)  # numpy ints overflow the sum
     if min(l1, l2, l3) < 0:
         raise ValueError("3-j orders must be non-negative")
     if (m1 + m2 + m3 or not abs(l1 - l2) <= l3 <= l1 + l2
@@ -153,12 +154,10 @@ def wigner_small_d(l: int, m: int, mp: int, beta: float) -> float:
     q = 2(l-n)-p; the sign is (-1)^(m-mp) for n in {l+mp, l-m}.  P_n comes
     from its three-term recurrence (DLMF 18.9.1), accurate where the sum over
     k cancels; its scale and the factor before it are summed as logs."""
-    _check_integer_orders(l, m, mp)
+    l, m, mp = _integers(l, m, mp)
     if abs(m) > l or abs(mp) > l:
         raise ValueError("require |m|, |mp| <= l")
     beta = _real("beta", beta)
-    if not math.isfinite(beta):
-        raise ValueError(f"angle must be finite, got beta={beta!r}")
     n, p = min(l + m, l - m, l + mp, l - mp), abs(m - mp)
     q, x, log_f, big = 2 * (l - n) - p, math.cos(beta), 0.0, 2.0 ** 600
     jac, prev = (((p + q + 2) * x + p - q) / 2, 1.0) if n else (1.0, 0.0)
@@ -219,9 +218,6 @@ def spherical_harmonic(idx: MultipoleIndex, theta: float, phi: float) -> complex
     """Y_lm(theta, phi), Condon-Shortley phase; Y_lm(0, .) = delta_{m,0} sqrt((2l+1)/4pi).
     ValueError unless both angles are finite real numbers."""
     theta, phi = _real("theta", theta), _real("phi", phi)
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError(f"angles must be finite, got theta={theta!r}, "
-                         f"phi={phi!r}")
     x, s = math.cos(theta), abs(math.sin(theta))
     return _legendre_column(idx.m, idx.l, x, s)[-1] * cmath.exp(1j * idx.m * phi)
 
@@ -230,10 +226,8 @@ def spherical_harmonic(idx: MultipoleIndex, theta: float, phi: float) -> complex
 # Spherical Bessel functions
 # ---------------------------------------------------------------------------
 
-def _bessel_upward(l: int, x: float) -> float:
+def _bessel_upward(l: int, x: float) -> float:  # l >= 1
     jm, j0 = math.sin(x) / x, math.sin(x) / (x * x) - math.cos(x) / x
-    if l == 0:
-        return jm
     for n in range(1, l):
         jm, j0 = j0, (2 * n + 1) / x * j0 - jm
     return j0
@@ -258,7 +252,6 @@ def _bessel_miller(l: int, x: float) -> float:
     return out * j0 / jc if abs(j0) >= abs(j1) else out * j1 / jp
 
 
-@lru_cache(maxsize=1024, typed=True)  # typed: True misses 1's entry
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel j_l(x) for integer l >= 0 and finite x >= 0;
     j_l(0) = delta_{l,0}.  ValueError for a bool or non-real x; a numpy
@@ -269,17 +262,15 @@ def spherical_bessel_j(l: int, x: float) -> float:
     1e-8 <= x <= l, the upward recurrence above l, where it is stable.
     Measured within 2.5e-14 relative of 60-digit mpmath for l <= 500 up
     to x = l (2.1e-15 for l <= 30), and tested to 1e-13 up to x = 1e3.
-    Memoized per (l, x), at most 1024 entries: omega_hat and g_tilde at
-    one |k| repeat each (l, ka).  Fourier elements keep j_l(ka) / k in the
-    record of their wave vector, so a block makes one call per order and
-    wave vector.
+    Not memoized: Fourier elements keep j_l(ka) / k in the record of their
+    wave vector, so a block makes one call per order and wave vector.
     """
-    _check_integer_orders(l)
+    [l] = _integers(l)
     if l < 0:
         raise ValueError("order must be non-negative")
-    x = _real("argument", x)  # a numpy float32 overflows in the recurrences
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"argument must be finite and non-negative, got {x!r}")
+    x = _real("x", x)  # a numpy float32 overflows in the recurrences
+    if x < 0.0:
+        raise ValueError(f"x must be non-negative, got x={x!r}")
     if x == 0.0:
         return 1.0 if l == 0 else 0.0
     if l == 0:

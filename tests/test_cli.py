@@ -189,6 +189,22 @@ def test_exit_code_extreme_inputs(tmp_path, capsys):
         assert float(row[5]) == pytest.approx(norm, rel=1e-15)
 
 
+def test_exit_code_malformed_vector_or_grid(tmp_path, capsys):
+    # argparse rejects a vector of two reals; the table a one-point grid
+    with pytest.raises(SystemExit) as exc:
+        main(["element", "--l", "0", "--m", "0", "--lp", "0", "--mp", "0",
+              "--R", "1,2", "--radius", "1"])
+    assert exc.value.code == 2
+    assert "expected three comma-separated reals" in capsys.readouterr().err
+    out = tmp_path / "table.csv"
+    code, _, err = run(capsys, "table", "--lmax", "0", "--R-start", "1",
+                       "--R-stop", "2", "--R-count", "1", "--radius", "1",
+                       "--out", str(out))
+    assert code == 2
+    assert "R-count must be at least 2" in err
+    assert not out.exists()
+
+
 def test_exit_code_unwritable_output(capsys):
     code, _, err = run(capsys, "table", "--lmax", "0", "--R-start", "1",
                        "--R-stop", "2", "--R-count", "2", "--radius", "1",

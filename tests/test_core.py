@@ -885,6 +885,16 @@ def test_cold_block_makes_one_exact_threej_per_record():
     assert info.currsize <= info.maxsize == 16384
 
 
+def test_every_plan_ends_on_its_stretched_term():
+    # the stretched 3-j (j = l+l') and its mu never vanish, so no plan is
+    # empty and matrix_element needs no branch for an empty one
+    for l, lp in itertools.product(range(9), repeat=2):
+        for m, mp in itertools.product(range(-l, l + 1), range(-lp, lp + 1)):
+            terms = core._channel_plan(l, m, lp, mp)[0]
+            assert terms, (l, m, lp, mp)
+            assert terms[-1][0] == l + lp - abs(l - lp), (l, m, lp, mp)
+
+
 def test_used_geometry_is_still_a_plain_value():
     args = (1.21, 1.1, -2.0, 1.0)
     used, fresh = SphereGeometry(*args), SphereGeometry(*args)
@@ -961,7 +971,7 @@ def test_fourier_element_matches_gaunt_sum():
 
 
 def test_fourier_block_same_cold_and_warm():
-    # memoized Bessel values and wave records change no bit of a block
+    # memoized wave records change no bit of a block
     lmax, a = 4, 1.3
     idx = [MultipoleIndex(l, m) for l in range(lmax + 1)
            for m in range(-l, l + 1)]
@@ -975,7 +985,6 @@ def test_fourier_block_same_cold_and_warm():
     def bits(rows):
         return [(z.real.hex(), z.imag.hex()) for row in rows for z in row]
 
-    spherical_bessel_j.cache_clear()
     core._wave_record.cache_clear()
     cold = bits(block())
     assert bits(block()) == cold
@@ -990,8 +999,9 @@ def _scipy_omega(lm, kvec, a):
 
 
 def test_fourier_values_match_scipy_warm_and_cold():
-    # scipy's spherical_jn and sph_harm_y share no step with the Bessel memo,
-    # the Legendre recurrence or the wave records that the elements read
+    # scipy's spherical_jn and sph_harm_y share no step with the Bessel
+    # recurrences, the Legendre recurrence or the wave records that the
+    # elements read
     a = 1.3
     rng = np.random.default_rng(24)
     kvecs = []
@@ -1006,7 +1016,6 @@ def test_fourier_values_match_scipy_warm_and_cold():
 
     def cleared(call):
         core._wave_record.cache_clear()
-        spherical_bessel_j.cache_clear()
         return call()
 
     for read in (lambda call: call(), cleared):
@@ -1075,17 +1084,16 @@ def test_wave_records_stay_within_their_bound():
     for kv in kvecs[:5]:
         assert _fourier_row(kv, 1.0) == _fourier_row(kv, 1.0, cold=True)
     # a block over 8 wave vectors makes 8 records and reads them 5000 times,
-    # and one Bessel value per order and record
+    # and one radial factor per order and record
     core._wave_record.cache_clear()
-    spherical_bessel_j.cache_clear()
     for q in _LMAX4:
         for p in _LMAX4:
             for kv in kvecs[:8]:
                 fourier_matrix_element(p, q, kv, 1.0)
     info = core._wave_record.cache_info()
     assert (info.currsize, info.misses, info.hits) == (8, 8, 4992)
-    info = spherical_bessel_j.cache_info()
-    assert (info.misses, info.hits) == (40, 0)
+    radial = [core._wave(kv, 1.0)[5] for kv in kvecs[:8]]
+    assert [sorted(r) for r in radial] == [list(range(5))] * 8
 
 
 def test_wave_records_read_any_sequence_and_radius_type():

@@ -76,6 +76,13 @@ def test_oracle_names_resolve_to_the_oracles_module():
     assert laplace_multipole.QuadratureSpec is oracles.QuadratureSpec
 
 
+def test_dir_lists_the_oracle_names():
+    # dir() lists the oracle names, which the module resolves lazily
+    assert {"QuadratureSpec", "defining_integral_quadrature",
+            "hankel_triple_bessel", "hankel_forward",
+            "hankel_inverse"} <= set(dir(laplace_multipole))
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         laplace_multipole.no_such_name
