@@ -39,7 +39,11 @@ def _real(name: str, value) -> float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, "
                              f"got {name}={value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            raise ValueError(f"{name} must be finite as a float, "
+                             f"got {name}={value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {name}={value!r}")
     return value
@@ -204,7 +208,9 @@ def _legendre_factors(m: int, lmax: int) -> tuple:
 def _legendre_column(m: int, lmax: int, x: float, s: float) -> list:
     """[Y_{l,m}(theta, 0) for l = |m| .. lmax] at x = cos(theta) and
     s = |sin(theta)| (any real theta, as in scipy's sph_harm_y): orthonormal
-    Legendre values, Condon-Shortley phase, by the upward recurrence in l."""
+    Legendre values, Condon-Shortley phase, by the upward recurrence in l.
+    Only a geometry's column memo needs every l; its last entry is
+    _legendre_value(m, lmax, x, s) to the bit."""
     seed, factors = _legendre_factors(m, lmax)
     cur, prev = seed * s ** abs(m), 0.0
     column = [cur]
@@ -214,12 +220,22 @@ def _legendre_column(m: int, lmax: int, x: float, s: float) -> list:
     return column
 
 
+def _legendre_value(m: int, l: int, x: float, s: float) -> float:
+    """Y_{l,m}(theta, 0) alone: _legendre_column's recurrence, the same float
+    operations in the same order, with no list built."""
+    seed, factors = _legendre_factors(m, l)
+    cur, prev = seed * s ** abs(m), 0.0
+    for A, B in factors:
+        prev, cur = cur, A * (x * cur - B * prev)
+    return cur
+
+
 def spherical_harmonic(idx: MultipoleIndex, theta: float, phi: float) -> complex:
     """Y_lm(theta, phi), Condon-Shortley phase; Y_lm(0, .) = delta_{m,0} sqrt((2l+1)/4pi).
     ValueError unless both angles are finite real numbers."""
     theta, phi = _real("theta", theta), _real("phi", phi)
     x, s = math.cos(theta), abs(math.sin(theta))
-    return _legendre_column(idx.m, idx.l, x, s)[-1] * cmath.exp(1j * idx.m * phi)
+    return _legendre_value(idx.m, idx.l, x, s) * cmath.exp(1j * idx.m * phi)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ from laplace_multipole.errors import (
     ZeroWaveVector,
 )
 from laplace_multipole.specfun import (EulerAngles, MultipoleIndex,
-                                       spherical_bessel_j, spherical_harmonic,
-                                       wigner_3j_float, wigner_D,
-                                       wigner_small_d)
+                                       _legendre_value, spherical_bessel_j,
+                                       spherical_harmonic, wigner_3j_float,
+                                       wigner_D, wigner_small_d)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +618,7 @@ _CONTRACT_INPUTS = {
     "-0.0": -0.0, "big": 4.0, "huge": 1e300, "tiny": 1e-300, "bool": True,
     "str": "1.3", "complex": 1 + 0j, "Decimal": Decimal("1.3"),
     "float32": np.float32, "float64": np.float64,
+    "int-past-float": 10 ** 400, "Fraction-past-float": Fraction(10 ** 400),
 }
 # "same bits": the bits of the call at the value as a Python float;
 # "finite": a finite result; "zero": equal to the call at +0.0
@@ -626,6 +627,7 @@ _CONTRACT_DEFAULT = {
     "negative": ValueError, "-0.0": "zero", "big": "finite",
     "bool": ValueError, "str": ValueError, "complex": ValueError,
     "Decimal": ValueError, "float32": "same bits", "float64": "same bits",
+    "int-past-float": ValueError, "Fraction-past-float": ValueError,
 }
 # a radius: -0.0 is not positive, and a^(l+1) leaves the floats at 1e300
 _RADIUS = {"-0.0": ValueError, "huge": OverflowError, "tiny": "finite"}
@@ -773,6 +775,26 @@ def test_block_identity_holds_exactly():
                             w = matrix_element(q, p, geom)
                             assert w == (-v if (p.l + q.l) % 2 else v), (
                                 p, q, geom)
+
+
+def test_m_reflection_holds_exactly():
+    # G_{l,-m; l',-m'} = (-1)^(m'-m) conj(G_{lm,l'm'}) at one geometry, to the
+    # bit: Y_{j,-mu} = (-1)^mu conj(Y_{j,mu}), and the reflected 3-j carries
+    # (-1)^(j+l+l') = 1 wherever mu != 0; both regimes, contact, both poles
+    idx = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+    rng = np.random.default_rng(27)
+    for a in (0.7, 1.0, 2.5):
+        for rho in (0.0, 0.37, 1.3, 1.999, 2.0, 2.001, 3.7):
+            for theta in (0.0, math.pi, *rng.uniform(0.0, math.pi, 2)):
+                geom = SphereGeometry(rho * a, float(theta),
+                                      float(rng.uniform(-3.2, 3.2)), a)
+                for p in idx:
+                    for q in idx:
+                        v = matrix_element(p, q, geom).conjugate()
+                        w = matrix_element(MultipoleIndex(p.l, -p.m),
+                                           MultipoleIndex(q.l, -q.m), geom)
+                        assert w == (-v if (q.m - p.m) % 2 else v), (
+                            p, q, geom)
 
 
 def _per_term_block(idx, g, theta, phi):
@@ -1163,6 +1185,58 @@ def _fourier_block(idx, kvec, a):
 
 
 _LMAX4 = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+
+
+def _fourier_kvecs(n, seed):
+    rng = np.random.default_rng(seed)
+    return [tuple(float(c) for c in rng.uniform(-3.0, 3.0, 3))
+            for _ in range(n)]
+
+
+def test_fourier_block_symmetries_hold_exactly():
+    # F_{l,-m; l',-m'} = (-1)^(l+l'+m+m') conj(F_{lm,l'm'}) and
+    # F_{l'm',lm} = conj(F_{lm,l'm'}) at one wave vector, to the bit, for
+    # every pair of lmax-4 channels at seeded wave vectors and on the axes
+    kvecs = _fourier_kvecs(12, 27) + [(0.0, 0.0, 1.3), (0.0, 0.0, -0.4),
+                                     (0.7, 0.0, 0.0), (0.0, -2.1, 0.0)]
+    for a in (1.0, 1.3):
+        for kv in kvecs:
+            for p in _LMAX4:
+                for q in _LMAX4:
+                    v = fourier_matrix_element(p, q, kv, a).conjugate()
+                    w = fourier_matrix_element(MultipoleIndex(p.l, -p.m),
+                                               MultipoleIndex(q.l, -q.m),
+                                               kv, a)
+                    odd = (p.l + q.l + p.m + q.m) % 2
+                    assert w == (-v if odd else v), (p, q, kv, a)
+                    assert fourier_matrix_element(q, p, kv, a) == v, (
+                        p, q, kv, a)
+
+
+def test_fourier_elements_build_no_legendre_list(monkeypatch):
+    # each element reads its two Legendre values from the list-free
+    # recurrence: a block over 8 wave vectors makes 10,000 values and no
+    # column, and omega_hat makes one value per call
+    calls = []
+
+    def value(*args):
+        calls.append(args)
+        return _legendre_value(*args)
+
+    def column(*args):
+        raise AssertionError(f"Legendre column built for {args}")
+
+    monkeypatch.setattr(core, "_legendre_value", value)
+    monkeypatch.setattr(core, "_legendre_column", column)
+    for kv in _fourier_kvecs(8, 23):
+        for p in _LMAX4:
+            for q in _LMAX4:
+                fourier_matrix_element(p, q, kv, 1.0)
+    assert len(calls) == 10_000
+    calls.clear()
+    for p in _LMAX4:
+        omega_hat(p, (0.6, -0.3, 1.2), 1.0)
+    assert len(calls) == 25
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -2,6 +2,8 @@
 harmonics, and spherical Bessel functions."""
 import cmath
 import math
+import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
 from laplace_multipole.specfun import (EulerAngles, MultipoleIndex,
+                                       _legendre_column, _legendre_value,
                                        spherical_bessel_j, spherical_harmonic,
                                        wigner_3j, wigner_3j_float, wigner_D,
                                        wigner_small_d)
@@ -324,7 +327,10 @@ def test_harmonic_matches_scipy():
                     assert abs(got - want) <= 1e-13, (l, m, theta, phi)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf,
+    pytest.param(-10 ** 400, id="int-past-float"),
+    pytest.param(Fraction(10 ** 401, 3), id="Fraction-past-float")])
 @pytest.mark.parametrize("angle, call", [
     ("theta", lambda x: spherical_harmonic(MultipoleIndex(1, 1), x, 0.0)),
     ("phi", lambda x: spherical_harmonic(MultipoleIndex(1, 0), 0.3, x)),
@@ -334,10 +340,27 @@ def test_harmonic_matches_scipy():
     ("gamma", lambda x: wigner_D(1, 0, 1, EulerAngles(0.0, 0.1, x))),
 ], ids=["Y-theta", "Y-phi", "d-beta", "D-alpha", "D-beta", "D-gamma"])
 def test_angles_must_be_finite(angle, call, bad):
-    # a non-finite angle is a ValueError naming it, not NaN or a math
-    # domain error from cos and sin
-    with pytest.raises(ValueError, match=f"{angle}={bad!r}"):
+    # a non-finite angle, or an int or Fraction past the float range, is a
+    # ValueError naming it, not NaN, a math domain error from cos and sin or
+    # float()'s OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"{angle}={bad!r}")):
         call(bad)
+
+
+def test_legendre_value_is_the_column_end_to_the_bit():
+    # the list-free recurrence does the column's float operations in its
+    # order, at theta = 0 (s = 0), pi/2 and pi and at seeded angles, for
+    # every |m| <= l <= 40
+    rng = random.Random(27)
+    thetas = [0.0, math.pi / 2, math.pi, *(rng.uniform(0.0, math.pi)
+                                          for _ in range(6))]
+    for theta in thetas:
+        x, s = math.cos(theta), abs(math.sin(theta))
+        for l in range(41):
+            for m in range(-l, l + 1):
+                got = _legendre_value(m, l, x, s)
+                want = _legendre_column(m, l, x, s)[-1]
+                assert got.hex() == want.hex(), (m, l, theta)
 
 
 # ---------------------------------------------------------------------------
