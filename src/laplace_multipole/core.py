@@ -72,8 +72,9 @@ class ReducedIndex:
 
 
 def _spherical(vec) -> tuple:
-    """(r, theta, phi) of a 3-vector of real numbers; ValueError for any other
-    length or component, or unless its length is finite."""
+    """(r, theta, phi) of a 3-vector of real numbers, -0.0 components read as
+    0.0 (only atan2 tells the zeros apart); ValueError for any other length or
+    component, or unless its length is finite."""
     try:
         x, y, z = (_real("vector component", c) for c in vec)
     except TypeError:  # not iterable
@@ -82,7 +83,7 @@ def _spherical(vec) -> tuple:
     r = math.hypot(x, y, z)
     if not math.isfinite(r):
         raise ValueError(f"vector must have a finite length, got {tuple(vec)}")
-    return r, math.acos(z / r) if r > 0 else 0.0, math.atan2(y, x)
+    return r, math.acos(z / r) if r > 0 else 0.0, math.atan2(y + 0.0, x + 0.0)
 
 
 class _Lazy(dict):
@@ -537,9 +538,9 @@ def _finite(value: complex) -> complex:
 @lru_cache(maxsize=256, typed=True)  # typed: True misses 1.0's record
 def _wave_record(x, y, z, a) -> tuple:
     """(|k|, cos theta, sin theta, a, phases e^(i n phi) by n, radial factors
-    4 pi a^(l+1) j_l(ka) / k by l) of the wave vector (x, y, z) at radius a:
-    the radius checked and both converted to floats once, the phases and
-    radial factors filled on first use (no radial factor at k = 0)."""
+    4 pi a^(l+1) j_l(ka) / k by l) of the wave vector (x, y, z) at radius a,
+    one per value (-0.0 is 0.0): both checked and converted to floats once,
+    the phases and radial factors filled on first use (none at k = 0)."""
     _, _, a = _lengths(0.0, a)
     k, theta, phi = _spherical((x, y, z))
     return (k, math.cos(theta), math.sin(theta), a, _phases(phi),
@@ -547,16 +548,14 @@ def _wave_record(x, y, z, a) -> tuple:
 
 
 def _wave(kvec, a) -> tuple:
-    """The record of kvec at radius a, kept for the 256 pairs of the two
-    used last.  A vector with a zero component gets a fresh record: -0.0 and 0.0
-    are one key but can give different phases (atan2(0.0, -0.0) is pi)."""
+    """The record of kvec at radius a, one for every way of writing its
+    zeros, kept for the 256 pairs of the two used last."""
     try:
         x, y, z = kvec
     except TypeError:  # not iterable
         raise ValueError(f"wave vector must be a sequence of 3 real numbers, "
                          f"got {kvec!r}") from None
-    build = _wave_record if x and y and z else _wave_record.__wrapped__
-    return build(x, y, z, a)
+    return _wave_record(x, y, z, a)
 
 
 def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:

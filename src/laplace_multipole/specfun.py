@@ -20,21 +20,21 @@ from functools import cache, lru_cache
 
 
 def _integers(*orders) -> tuple:
-    """The orders as Python ints; ValueError unless each is an integer (bool
-    excluded; numpy integers are accepted, and none reaches the exact sums)."""
+    """The orders as Python ints; ValueError, by type, unless each is an
+    integer (not bool; numpy integers pass, and none reach the exact sums)."""
     for n in orders:
         # the type test keeps the common case off the slower ABC check
         if type(n) is not int and (isinstance(n, bool)
                                    or not isinstance(n, numbers.Integral)):
-            raise ValueError(f"orders must be integers, got {n!r}")
+            raise ValueError(f"orders must be integers, got {type(n).__name__}")
     return tuple(map(int, orders))
 
 
 def _real(name: str, value) -> float:
     """value as a finite float: the one check of every real input.
-    ValueError, naming it as name=value, for NaN, +-inf, bool or a type not
-    numbers.Real, so True never reads as 1.0 and no numpy float32 reaches
-    the arithmetic."""
+    ValueError naming it for NaN, +-inf, past the float range (by type: repr
+    can fail there), bool or a type not numbers.Real, so True never reads as
+    1.0 and no numpy float32 reaches the arithmetic."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, "
@@ -42,8 +42,8 @@ def _real(name: str, value) -> float:
         try:
             value = float(value)
         except OverflowError:  # an int or Fraction past the float range
-            raise ValueError(f"{name} must be finite as a float, "
-                             f"got {name}={value!r}") from None
+            raise ValueError(f"{name} of type {type(value).__name__} is past "
+                             f"the float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {name}={value!r}")
     return value
@@ -140,8 +140,8 @@ def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> ThreeJVal
 
 @lru_cache(maxsize=16384, typed=True)  # typed: 1.0 and True miss 1's entry
 def wigner_3j_float(l1, l2, l3, m1, m2, m3) -> float:
-    """wigner_3j(...).to_float() bit for bit (n / d of integers rounds once)
-    without the exact cache; memoized for 16384 symbols, the lmax-6 plans'."""
+    """wigner_3j(...).to_float() bit for bit (n / d rounds once), exact cache
+    untouched; 16384 kept for matrix_element_zaxis (plans read each once)."""
     sign, n, d = _racah(l1, l2, l3, m1, m2, m3)
     return sign * math.sqrt(n / d)
 

@@ -587,13 +587,13 @@ _CONTRACT_ROWS = [
         _P, _Q, SphereGeometry(1.3, 0.4, 0.9, v)), 1.0, {}),
     ("from_vector", lambda v: matrix_element(
         _P, _Q, SphereGeometry.from_vector((v, 0.2, 1.0), 1.0)), 0.5,
-     {"negative": "finite"}),
+     {"negative": "finite", "-0.0": "zero bits"}),
     ("omega-k", lambda v: omega_hat(_Q, (v, 0.2, 1.0), 1.0), 0.3,
-     {"negative": "finite"}),
+     {"negative": "finite", "-0.0": "zero bits"}),
     ("omega-a", lambda v: omega_hat(_Q, (0.3, 0.2, 1.0), v), 1.0, {}),
     ("fourier-k", lambda v: fourier_matrix_element(_P, _Q, (v, 0.2, 1.0),
                                                    1.0), 0.3,
-     {"negative": "finite"}),
+     {"negative": "finite", "-0.0": "zero bits"}),
     ("fourier-a", lambda v: fourier_matrix_element(_P, _Q, (0.3, 0.2, 1.0),
                                                    v), 1.0, {}),
     # float32 read as such overflows j_8(ka) / k to inf here
@@ -621,7 +621,8 @@ _CONTRACT_INPUTS = {
     "int-past-float": 10 ** 400, "Fraction-past-float": Fraction(10 ** 400),
 }
 # "same bits": the bits of the call at the value as a Python float;
-# "finite": a finite result; "zero": equal to the call at +0.0
+# "finite": a finite result; "zero": equal to the call at +0.0; "zero bits":
+# the bits of the call at +0.0
 _CONTRACT_DEFAULT = {
     "nan": ValueError, "inf": ValueError, "-inf": ValueError,
     "negative": ValueError, "-0.0": "zero", "big": "finite",
@@ -640,8 +641,8 @@ def _contract_cases():
         for kind, outcome in outcomes.items():
             yield pytest.param(call, valid, _CONTRACT_INPUTS[kind], outcome,
                                id=f"{row}-{kind}")
-    # vectors: a wrong length or no sequence, or a list or array in place of
-    # a tuple
+    # vectors: a wrong length, no sequence or a length past the floats, or a
+    # list or array in place of a tuple
     vector_calls = {
         "from_vector": lambda v: matrix_element(
             _P, _Q, SphereGeometry.from_vector(v, 1.0)),
@@ -651,6 +652,7 @@ def _contract_cases():
         for kind, vec in (("short", (0.3, 0.2)),
                           ("long", (0.3, 0.2, 1.0, 0.0)),
                           ("float", 1.0), ("None", None),
+                          ("past-float-length", (1.7e308, 1.7e308, 0.0)),
                           ("list", [0.3, 0.2, 1.0]),
                           ("array", np.array([0.3, 0.2, 1.0])),
                           ("array32", np.array([0.3, 0.2, 1.0], np.float32))):
@@ -688,8 +690,24 @@ def test_input_contract(call, valid, value, outcome):
         assert type(got) is type(want) and _hex(got) == _hex(want)
     elif outcome == "zero":
         assert got == call(0.0)
+    elif outcome == "zero bits":
+        assert _hex(got) == _hex(call(0.0))
     else:
         assert isinstance(got, str) or cmath.isfinite(got)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: regime_of(10 ** 5000, 1.0), "R of type int"),
+    (lambda: regime_of(Fraction(10 ** 5000, 3), 1.0), "R of type Fraction"),
+    (lambda: regime_of(1.3, -10 ** 5000), "a of type int"),
+    (lambda: MultipoleIndex(Fraction(10 ** 5000, 3), 0),
+     "orders must be integers, got Fraction"),
+], ids=["R-int", "R-Fraction", "a-int", "order-Fraction"])
+def test_values_past_repr_are_named(call, match):
+    # repr of an int past 4300 digits raises its own ValueError from Python
+    # 3.11 on, so the message names the argument and its type, not its value
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_geometry_rejects_nonfinite():
@@ -1068,23 +1086,31 @@ def _fourier_row(kvec, a, cold=False):
                for q in _LMAX4])
 
 
-def test_wave_records_keep_signed_zeros_apart():
-    # -0.0 == 0.0, but atan2 tells them apart: a memo keyed on the values
-    # gave +1.36e-16j for the cold -1.67e-32 - 1.36e-16j below
-    lm, lpmp = MultipoleIndex(1, 0), MultipoleIndex(2, 1)
-    fourier_matrix_element(lm, lpmp, (0.0, 0.0, -1.0), 1.0)
-    got = fourier_matrix_element(lm, lpmp, (-0.0, 0.0, -1.0), 1.0)
-    core._wave_record.cache_clear()
-    assert _bits(got) == _bits(
-        fourier_matrix_element(lm, lpmp, (-0.0, 0.0, -1.0), 1.0))
-    assert got.real == pytest.approx(-1.67e-32, rel=1e-2)
-    # every sign of zero on every axis, warm after its other signs, k = 0
-    # included (omega_hat's limit; ZeroWaveVector for the element)
+def _position_row(vec, a):
+    """Bits of the elements of one lmax-4 row at SphereGeometry.from_vector."""
+    geom = SphereGeometry.from_vector(vec, a)
+    return [_bits(matrix_element(MultipoleIndex(2, 1), q, geom))
+            for q in _LMAX4]
+
+
+def test_signed_zeros_read_as_zero():
+    # a vector's direction depends on its value alone: each sign pattern of
+    # its zero components gives the bits of the vector with +0.0, cold, warm
+    # after it and warm before it, in both spaces, k = 0 included (omega_hat's
+    # limit; ZeroWaveVector for the element).  atan2(0.0, -0.0) is pi: read
+    # with its sign, the (1,0),(2,1) element at (-0.0, 0.0, -1.0) was
+    # -1.67e-32 - 1.36e-16j, against 1.36e-16j at (0.0, 0.0, -1.0)
     for kvec in itertools.product((0.0, -0.0, 0.7), (0.0, -0.0, -0.4),
                                   (0.0, -0.0, 1.1)):
-        for a in (1.0, 1.3):
-            assert _fourier_row(kvec, a) == _fourier_row(kvec, a, cold=True), \
-                (kvec, a)
+        plus = tuple(c + 0.0 for c in kvec)
+        for a in (0.5, 1.3):
+            want = _fourier_row(plus, a, cold=True)
+            assert _fourier_row(kvec, a, cold=True) == want, (kvec, a)
+            for first, then in ((plus, kvec), (kvec, plus)):
+                core._wave_record.cache_clear()
+                _fourier_row(first, a)
+                assert _fourier_row(then, a) == want, (first, then, a)
+            assert _position_row(kvec, a) == _position_row(plus, a), (kvec, a)
 
 
 def test_wave_records_stay_within_their_bound():
@@ -1106,16 +1132,21 @@ def test_wave_records_stay_within_their_bound():
     for kv in kvecs[:5]:
         assert _fourier_row(kv, 1.0) == _fourier_row(kv, 1.0, cold=True)
     # a block over 8 wave vectors makes 8 records and reads them 5000 times,
-    # and one radial factor per order and record
-    core._wave_record.cache_clear()
-    for q in _LMAX4:
-        for p in _LMAX4:
-            for kv in kvecs[:8]:
-                fourier_matrix_element(p, q, kv, 1.0)
-    info = core._wave_record.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (8, 8, 4992)
-    radial = [core._wave(kv, 1.0)[5] for kv in kvecs[:8]]
-    assert [sorted(r) for r in radial] == [list(range(5))] * 8
+    # and one radial factor per order and record; so does one over 8 lattice
+    # vectors 0.7 (n1, n2, n3), each with a zero index
+    lattice = [tuple(0.7 * n for n in ns) for ns in (
+        (1, 0, 0), (0, -1, 0), (0, 0, 2), (1, 1, 0), (-1, 0, 1), (0, 2, -1),
+        (2, 0, 1), (1, -2, 0))]
+    for block in (kvecs[:8], lattice):
+        core._wave_record.cache_clear()
+        for q in _LMAX4:
+            for p in _LMAX4:
+                for kv in block:
+                    fourier_matrix_element(p, q, kv, 1.0)
+        info = core._wave_record.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (8, 8, 4992), block
+        radial = [core._wave(kv, 1.0)[5] for kv in block]
+        assert [sorted(r) for r in radial] == [list(range(5))] * 8
 
 
 def test_wave_records_read_any_sequence_and_radius_type():

@@ -151,7 +151,8 @@ def test_surface_oracle_requires_axis_alignment():
 
 
 # at theta = 0 the separation is e_z whatever phi is; (-0, 0, 2.5) has
-# phi = atan2(0, -0) = pi
+# phi = 0, since a -0.0 component reads as 0.0, and phi = -2 keeps the case
+# of any other azimuth
 @pytest.mark.parametrize("geom", [
     SphereGeometry.from_vector((-0.0, 0.0, 2.5), 1.0),
     SphereGeometry(1.2, 0.0, -2.0, 1.0),

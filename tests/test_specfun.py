@@ -342,8 +342,11 @@ def test_harmonic_matches_scipy():
 def test_angles_must_be_finite(angle, call, bad):
     # a non-finite angle, or an int or Fraction past the float range, is a
     # ValueError naming it, not NaN, a math domain error from cos and sin or
-    # float()'s OverflowError
-    with pytest.raises(ValueError, match=re.escape(f"{angle}={bad!r}")):
+    # float()'s OverflowError; past the float range by its type, since repr
+    # can fail there
+    match = (f"{angle}={bad!r}" if isinstance(bad, float)
+             else f"{angle} of type {type(bad).__name__} is past the float")
+    with pytest.raises(ValueError, match=re.escape(match)):
         call(bad)
 
 
