@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import PoleResidueError, RegimeError, ZeroWaveVector
-from .specfun import (MultipoleIndex, _integers, _legendre_column,
-                      _legendre_value, _real, spherical_bessel_j, wigner_3j,
-                      wigner_3j_float)
+from .specfun import (MultipoleIndex, _integers, _legendre_value, _real,
+                      spherical_bessel_j, wigner_3j, wigner_3j_float)
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n at n % 4
 
@@ -135,8 +134,8 @@ class SphereGeometry:
 
     @cached_property
     def _direction(self) -> tuple:
-        """(R < 2a, Legendre columns Y_{j,m'-m}(theta, 0) for j = |m'-m| ..
-        l+l', radial rows as in matrix_element, phases e^(i(m'-m)phi)), each
+        """(R < 2a, Legendre values Y_{j,m'-m}(theta, 0) from _legendre_value,
+        radial rows as in matrix_element, phases e^(i(m'-m)phi)), each
         filled on first use by its _channel_plan key."""
         overlap = regime_of(self.R, self.a) == "overlap"
         # the fills hold these floats, not self: a cycle would outlive the block
@@ -152,7 +151,7 @@ class SphereGeometry:
                      for j in range(d, n + 1)] + [_power(a, n + 1)])
 
         return (overlap,
-                _Lazy(lambda key: _legendre_column(*_unkey(key), x, s)),
+                _Lazy(lambda key: _legendre_value(*_unkey(key), x, s)),
                 _Lazy(row), _phases(self.phi))
 
     def __getstate__(self) -> dict:  # pickle the four fields, not the memo
@@ -407,17 +406,23 @@ def _power(base: float, n: int) -> float:
         raise OverflowError("element scale exceeds the float range") from None
 
 
-def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
-    """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral,
-    from the per-(l, l', j) record: (2 - R/a)^k q(R/a) below contact, the
-    stretched power law from R = 2a on; OverflowError past the float range."""
-    regime, R, a = _lengths(R, a)
-    mu, k, quotient, contact = _reduced(idx.l, idx.lp, idx.j)
+def _reduced_value(l, lp, j, regime, R, a) -> float:
+    """g^j_{l,l'}(R) from the (l, l', j) record at (regime, R, a) of _lengths:
+    (2 - R/a)^k q(R/a) below contact, the stretched power law from 2a on."""
+    mu, k, quotient, contact = _reduced(l, lp, j)
     if regime == "overlap":
         value = _below_contact(k, quotient, R / a)
     else:
-        value = contact * (2 * a / R) ** idx.degree
-    return ReducedElement(idx, R, a, mu * _power(a, idx.degree) * value, regime)
+        value = contact * (2 * a / R) ** (l + lp + 1)
+    return mu * _power(a, l + lp + 1) * value
+
+
+def g_reduced(idx: ReducedIndex, R: float, a: float) -> ReducedElement:
+    """Reduced element g^j_{l,l'}(R) = mu a^(l+l'+2) * triple-Bessel integral
+    (_reduced_value); OverflowError past the float range."""
+    regime, R, a = _lengths(R, a)
+    value = _reduced_value(idx.l, idx.lp, idx.j, regime, R, a)
+    return ReducedElement(idx, R, a, value, regime)
 
 
 def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
@@ -439,29 +444,30 @@ def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
 
 def matrix_element_zaxis(lm: MultipoleIndex, lpmp: MultipoleIndex,
                          R: float, a: float) -> complex:
-    """Canonical element G_{lm,l'm'}(R e_z); m-diagonal and real."""
-    _, R, a = _lengths(R, a)
+    """Canonical element G_{lm,l'm'}(R e_z); m-diagonal and real.  (R, a) is
+    checked once, and each even l+l'+j reads g^j as g_reduced does."""
+    regime, R, a = _lengths(R, a)
     if lm.m != lpmp.m:
         return 0.0 + 0.0j
     l, lp, m = lm.l, lpmp.l, lm.m
     acc = 0.0
-    for j in range(abs(l - lp), l + lp + 1):
+    for j in range(abs(l - lp), l + lp + 1, 2):  # odd l+l'+j has mu = 0
         tj = wigner_3j_float(l, lp, j, m, -m, 0)
         if tj == 0.0:
             continue
-        acc += tj * g_reduced(ReducedIndex(l, lp, j), R, a).value
+        acc += tj * _reduced_value(l, lp, j, regime, R, a)
     return complex((-1 if m % 2 else 1) * acc)
 
 
 @lru_cache(maxsize=None)
 def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
     """What matrix_element needs of the channel pair (l m, l' m') apart from
-    R and the direction: (terms, contact, column, row, m'-m), the last three
-    the integer keys of its geometry's column, row and phase: column and row
-    the keys L^2 + L + n (_unkey) of (m'-m, l+l') and of (|l-l'|, l+l'), so
-    (l, l') and (l', l) share a row.  Per surviving j
-    a term (j - |l-l'|, j - |m'-m|, weight): its row slot, its Legendre index
-    and (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu; contact is the
+    R and the direction: (terms, contact, stretched, row, m'-m), the last
+    three the integer keys L^2 + L + n (_unkey) of its geometry's Legendre
+    value Y_{l+l',m'-m}, radial row (|l-l'|, l+l') and phase, so (l, l') and
+    (l', l) share a row.  Per surviving j a term (j - |l-l'|, j^2 + j + m'-m,
+    weight): its row slot, the key of its value Y_{j,m'-m} and
+    (-1)^m' sqrt(4 pi/(2j+1)) (j l l'; m'-m, m, -m') mu; contact is the
     stretched (j = l+l') weight times its contact value for a = 1."""
     m1 = mp - m
     terms, contact = [], 0.0
@@ -473,7 +479,7 @@ def _channel_plan(l: int, m: int, lp: int, mp: int) -> tuple:
                   * wigner_3j_float(j, l, lp, m1, m, -mp) * mu)
         if weight == 0.0:
             continue
-        terms.append((j - abs(l - lp), j - abs(m1), weight))
+        terms.append((j - abs(l - lp), j * j + j + m1, weight))
         contact += weight * at_contact
     key = (l + lp) * (l + lp + 1)
     return tuple(terms), contact, key + m1, key + abs(l - lp), m1
@@ -490,23 +496,23 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
 
     which collapses to the m-diagonal z-axis form at theta = 0.  One lookup of
     the cached plan (_channel_plan) gives all but R and the direction, and the
-    keys of the column, radial row and phase that elements at one geometry
-    share (SphereGeometry._direction).  A row is (2 - R/a)^k q(R/a) per j and
-    a^(l+l'+1) below contact, a^(l+l'+1) (2a/R)^(l+l'+1) from R = 2a on
-    (OverflowError past floats).  Build one SphereGeometry per block and reuse
-    it: an lmax-4 block needs 81 columns, 15 rows (35 radial values) and 17
-    phases for 1453 terms."""
-    terms, contact, column_key, row_key, m1 = _channel_plan(
+    keys of the Legendre values, radial row and phase that elements at one
+    geometry share (SphereGeometry._direction).  A row is (2 - R/a)^k q(R/a)
+    per j and a^(l+l'+1) below contact, a^(l+l'+1) (2a/R)^(l+l'+1) from R = 2a
+    on (OverflowError past floats).  Build one SphereGeometry per block and
+    reuse it: an lmax-4 block needs 81 values, 15 rows (35 radial values) and
+    17 phases for 1453 terms."""
+    terms, contact, stretched, row_key, m1 = _channel_plan(
         lm.l, lm.m, lpmp.l, lpmp.m)
-    overlap, columns, rows, phases = geom._direction
-    column, row = columns[column_key], rows[row_key]
+    overlap, values, rows, phases = geom._direction
+    row = rows[row_key]
     if overlap:
         acc = 0.0
-        for slot, n, weight in terms:
-            acc += weight * row[slot] * column[n]
+        for slot, key, weight in terms:
+            acc += weight * row[slot] * values[key]
         acc *= row[-1]
     else:
-        acc = contact * row * column[-1]
+        acc = contact * row * values[stretched]
     return acc * phases[m1]
 
 
@@ -574,8 +580,8 @@ def fourier_matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
     the record of its wave vector (|k|, cos and sin of theta, one radial
     factor 4 pi a^(l+1) j_l(ka) / k per l and one phase e^(i(m'-m)phi) per
     m'-m), shared by every element at that k and radius, i^(l-l') and two
-    Legendre values Y_lm(theta, 0), each from the list-free recurrence
-    _legendre_value and kept nowhere: a 25x25 lmax-4 block over 8 wave
+    Legendre values Y_lm(theta, 0), each from _legendre_value, the one
+    Legendre recurrence, and kept nowhere: a 25x25 lmax-4 block over 8 wave
     vectors makes 8 records, 40 radial factors and 10,000 Legendre values.
     Each factor is divided by k first, so the element is finite as k
     underflows where its true value is; OverflowError past floats."""

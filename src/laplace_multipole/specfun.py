@@ -189,9 +189,15 @@ def wigner_D(l: int, m: int, mp: int, angles: EulerAngles) -> complex:
 
 
 @cache
+def _legendre_pair(ma: int, l: int) -> tuple:  # (A_l, B_l) at |m| = ma
+    return (math.sqrt((4 * l * l - 1) / (l * l - ma * ma)),
+            math.sqrt(((l - 1) ** 2 - ma * ma) / (4 * (l - 1) ** 2 - 1)))
+
+
+@cache
 def _legendre_factors(m: int, lmax: int) -> tuple:
     """Y_{|m|,|m|}(theta, 0) / |sin(theta)|^|m| with the sign of m folded in,
-    and the factors (A_l, B_l) of the upward recurrence
+    and the pairs (A_l, B_l) = _legendre_pair(|m|, l), shared by one order, of
     Y_l = A_l (cos(theta) Y_{l-1} - B_l Y_{l-2}) for l = |m|+1 .. lmax."""
     ma = abs(m)
     seed = 1.0 / math.sqrt(4 * math.pi)
@@ -199,30 +205,13 @@ def _legendre_factors(m: int, lmax: int) -> tuple:
         seed *= -math.sqrt((2 * k + 1) / (2 * k))
     if m < 0 and ma % 2:  # Y_{l,-m} = (-1)^m conj(Y_lm)
         seed = -seed
-    return seed, tuple(
-        (math.sqrt((4 * l * l - 1) / (l * l - ma * ma)),
-         math.sqrt(((l - 1) ** 2 - ma * ma) / (4 * (l - 1) ** 2 - 1)))
-        for l in range(ma + 1, lmax + 1))
-
-
-def _legendre_column(m: int, lmax: int, x: float, s: float) -> list:
-    """[Y_{l,m}(theta, 0) for l = |m| .. lmax] at x = cos(theta) and
-    s = |sin(theta)| (any real theta, as in scipy's sph_harm_y): orthonormal
-    Legendre values, Condon-Shortley phase, by the upward recurrence in l.
-    Only a geometry's column memo needs every l; its last entry is
-    _legendre_value(m, lmax, x, s) to the bit."""
-    seed, factors = _legendre_factors(m, lmax)
-    cur, prev = seed * s ** abs(m), 0.0
-    column = [cur]
-    for A, B in factors:
-        prev, cur = cur, A * (x * cur - B * prev)
-        column.append(cur)
-    return column
+    return seed, tuple(_legendre_pair(ma, l) for l in range(ma + 1, lmax + 1))
 
 
 def _legendre_value(m: int, l: int, x: float, s: float) -> float:
-    """Y_{l,m}(theta, 0) alone: _legendre_column's recurrence, the same float
-    operations in the same order, with no list built."""
+    """Y_{l,m}(theta, 0) at x = cos(theta), s = |sin(theta)| (any real theta,
+    as in scipy's sph_harm_y): orthonormal, Condon-Shortley phase, from the
+    one Legendre recurrence, upward in l from |m|, with no list built."""
     seed, factors = _legendre_factors(m, l)
     cur, prev = seed * s ** abs(m), 0.0
     for A, B in factors:

@@ -755,6 +755,32 @@ def test_zaxis_element_is_m_diagonal_and_real():
                     assert v.imag == 0.0
 
 
+def test_zaxis_element_reads_records_without_g_reduced(monkeypatch):
+    # each j reads g^j from its record as g_reduced does, to the bit, with
+    # (R, a) checked once and no ReducedElement built: below contact, at
+    # R = 0 and R = 2a and beyond, at three radii
+    idx = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+    cases = [(R * a, a) for a in (0.7, 1.0, 2.5) for R in (0.0, 0.9, 2.0, 3.1)]
+
+    def by_g_reduced(p, q, R, a):
+        acc = 0.0
+        for j in range(abs(p.l - q.l), p.l + q.l + 1):
+            tj = wigner_3j_float(p.l, q.l, j, p.m, -p.m, 0)
+            if tj != 0.0:
+                acc += tj * g_reduced(ReducedIndex(p.l, q.l, j), R, a).value
+        return complex((-1 if p.m % 2 else 1) * acc)
+
+    want = [_bits(by_g_reduced(p, p_, R, a)) for R, a in cases
+            for p in idx for p_ in idx if p.m == p_.m]
+
+    def refuse(*args):
+        raise AssertionError(f"g_reduced called with {args}")
+
+    monkeypatch.setattr(core, "g_reduced", refuse)
+    assert [_bits(matrix_element_zaxis(p, p_, R, a)) for R, a in cases
+            for p in idx for p_ in idx if p.m == p_.m] == want
+
+
 def test_general_orientation_reduces_to_zaxis():
     geom = SphereGeometry(1.7, 0.0, 0.0, 1.0)
     for (l, m, lp, mp) in [(0, 0, 0, 0), (1, 1, 1, 1), (2, -1, 1, -1),
@@ -888,22 +914,47 @@ def test_geometry_memo_keeps_every_element(rho):
                     (a, rho, theta, phi)
 
 
-def test_block_memo_holds_columns_rows_and_phases():
-    # an lmax-4 block keeps one Legendre column per (m'-m, l+l'), one radial
-    # row per unordered (l, l') and one phase per m'-m, in either regime;
-    # below contact the rows hold 35 radial values of even l+l'+j
+def test_block_memo_holds_values_rows_and_phases():
+    # an lmax-4 block keeps one Legendre value Y_{j,m'-m}(theta, 0) per
+    # (j, m'-m) with |m'-m| <= j <= 8, keyed j^2 + j + m'-m and equal in bits
+    # to _legendre_value, one radial row per unordered (l, l') and one phase
+    # per m'-m, in either regime; below contact the rows hold 35 radial
+    # values of even l+l'+j
     idx = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+    x, s = math.cos(1.1), abs(math.sin(1.1))
     for R in (1.3, 2.0, 3.0):
         geom = SphereGeometry(R, 1.1, 0.7, 1.0)
         for p in idx:
             for q in idx:
                 matrix_element(p, q, geom)
-        overlap, columns, rows, phases = geom._direction
-        assert (len(columns), len(rows), len(phases)) == (81, 15, 17)
+        overlap, values, rows, phases = geom._direction
+        assert (len(values), len(rows), len(phases)) == (81, 15, 17)
+        assert {key: v.hex() for key, v in values.items()} == {
+            j * j + j + m1: _legendre_value(m1, j, x, s).hex()
+            for j in range(9) for m1 in range(-j, j + 1)}
         assert phases == {m1: cmath.exp(1j * m1 * 0.7) for m1 in range(-8, 9)}
         assert overlap == (R < 2.0)
         if overlap:
             assert sum(v != 0.0 for row in rows.values() for v in row[:-1]) == 35
+
+
+def test_cold_block_makes_one_legendre_value_per_key(monkeypatch):
+    # a fresh geometry runs the one recurrence once per value it keeps: 81
+    # for an lmax-4 block, and none for a second pass over the same geometry
+    calls = []
+
+    def value(*args):
+        calls.append(args)
+        return _legendre_value(*args)
+
+    monkeypatch.setattr(core, "_legendre_value", value)
+    geom = SphereGeometry(1.3, 1.1, 0.7, 1.0)
+    for _ in range(2):
+        for p in _LMAX4:
+            for q in _LMAX4:
+                matrix_element(p, q, geom)
+        assert len(calls) == 81
+    assert len(set(calls)) == 81
 
 
 def test_cold_block_makes_one_exact_threej_per_record():
@@ -1246,19 +1297,15 @@ def test_fourier_block_symmetries_hold_exactly():
 
 def test_fourier_elements_build_no_legendre_list(monkeypatch):
     # each element reads its two Legendre values from the list-free
-    # recurrence: a block over 8 wave vectors makes 10,000 values and no
-    # column, and omega_hat makes one value per call
+    # recurrence: a block over 8 wave vectors makes 10,000 values, and
+    # omega_hat makes one value per call
     calls = []
 
     def value(*args):
         calls.append(args)
         return _legendre_value(*args)
 
-    def column(*args):
-        raise AssertionError(f"Legendre column built for {args}")
-
     monkeypatch.setattr(core, "_legendre_value", value)
-    monkeypatch.setattr(core, "_legendre_column", column)
     for kv in _fourier_kvecs(8, 23):
         for p in _LMAX4:
             for q in _LMAX4:
