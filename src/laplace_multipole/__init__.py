@@ -3,7 +3,7 @@ spheres: reduced elements g^j_{l,l'}(R) in position space (overlap and
 non-overlap regimes, told apart by regime_of), canonical elements on the
 z axis and in general orientation, Fourier-space elements, and brute-force
 quadrature oracles for validation.  The oracle names load on first use
-(numpy, scipy and mpmath come with them); the rest is standard library."""
+(numpy and scipy come with them); the rest is standard library."""
 
 __version__ = "0.1.0"
 

@@ -7,7 +7,7 @@ a seeded generator so repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 computation/I-O failure, 2 usage or domain error.
 
-Only `verify` needs the quadrature oracles (numpy, scipy, mpmath); its
+Only `verify` needs the quadrature oracles (numpy, scipy); its
 checks import them, so the other commands load the standard library alone.
 """
 from __future__ import annotations

@@ -558,10 +558,11 @@ def _wave(kvec, a) -> tuple:
     zeros, kept for the 256 pairs of the two used last."""
     try:
         x, y, z = kvec
-    except TypeError:  # not iterable
+        return _wave_record(x, y, z, a)
+    except TypeError:  # not iterable, or unhashable (the memo hashes first)
+        _lengths(0.0, a)
         raise ValueError(f"wave vector must be a sequence of 3 real numbers, "
                          f"got {kvec!r}") from None
-    return _wave_record(x, y, z, a)
 
 
 def omega_hat(lm: MultipoleIndex, kvec, a: float) -> complex:

@@ -11,9 +11,9 @@ overlap polynomials), and takes only index and geometry types and
 rule on the panels between a list of edges: zero-aligned panels plus an
 analytic oscillatory tail for the triple-Bessel integral, and half-period
 panels with an accelerated tail for both Hankel transforms.  They exist
-only to earn trust (tests and the ``verify`` CLI command).  scipy, mpmath
-and numpy's Gauss-Legendre rule are imported by the functions that use
-them, so importing the package does not load them.
+only to earn trust (tests and the ``verify`` CLI command).  scipy and
+numpy's Gauss-Legendre rule are imported by the functions that use them,
+so importing the package does not load them.
 """
 from __future__ import annotations
 
@@ -156,36 +156,36 @@ def _bessel_trig_terms(n: int, c: float):
     return out
 
 
-@lru_cache(maxsize=4096)
-def _expint_scaled(p: int, omK: float) -> complex:
-    """E_p(-i omK) via mpmath, for the slowly-oscillating cases."""
-    import mpmath
-    with mpmath.workdps(30):
-        return complex(mpmath.expint(p, mpmath.mpc(0, -omK)))
+def _expint(p: int, z: complex) -> complex:
+    """E_p(z) = int_1^inf e^(-zt) t^-p dt, p >= 1: for |z| <= 1 the upward
+    recurrence E_(n+1) = (e^-z - z E_n) / n from scipy's E_1 (each step
+    scales the error by |z|/n <= 1), above it the continued fraction by
+    modified Lentz (Numerical Recipes, 2nd ed., sec. 6.3)."""
+    if abs(z) <= 1.0:
+        from scipy.special import exp1
+        e, ez = complex(exp1(z)), cmath.exp(-z)
+        for n in range(1, p):
+            e = (ez - z * e) / n
+        return e
+    b, c = z + p, 1e300
+    h = d = 1.0 / b
+    for i in range(1, 1000):
+        an = -i * (p - 1 + i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 3e-16:
+            return h * cmath.exp(-z)
+    raise TailTooLarge(f"continued fraction for E_{p}({z}) did not converge")
 
 
 def _osc_power_integral(p: int, om: float, K: float) -> complex:
-    """int_K^inf e^{i om k} k^-p dk.
-
-    Repeated integration by parts gives the asymptotic series
-    -(e^{i om K}/(i om)) sum_t (p)_t / ((i om)^t K^(p+t)); it converges
-    geometrically once |om| K is well above p, otherwise fall back to the
-    incomplete-gamma evaluation."""
+    """int_K^inf e^{i om k} k^-p dk = K^(1-p) E_p(-i om K), for p >= 2."""
     if om == 0.0:
-        return K ** (1 - p) / (p - 1) if p > 1 else complex("inf")
-    x = abs(om) * K
-    if x < max(40.0, 3.0 * p + 20.0):
-        return _expint_scaled(p, om * K) * K ** (1 - p)
-    iw = 1j * om
-    pref = -cmath.exp(iw * K) / iw
-    term = K ** float(-p)
-    total = 0.0 + 0.0j
-    for t in range(40):
-        total += term
-        term *= (p + t) / (iw * K)
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return pref * total
+        return K ** (1 - p) / (p - 1)
+    return K ** (1 - p) * _expint(p, complex(0.0, -om * K))
 
 
 def _tail_exact(terms_list, K: float, tail_order: int):
@@ -210,7 +210,8 @@ def _tail_exact(terms_list, K: float, tail_order: int):
         if p - nfac > tail_order:
             omitted += abs(coef) * K ** (1 - p) / max(p - 1, 1)
             continue
-        collected[(p, round(om, 12))] = collected.get((p, round(om, 12)), 0j) + coef
+        key = (p, round(om, 12))
+        collected[key] = collected.get(key, 0j) + coef
     total = 0.0
     for (p, om), coef in collected.items():
         total += (coef * _osc_power_integral(p, om, K)).real
@@ -255,13 +256,10 @@ def hankel_triple_bessel(idx: ReducedIndex, R: float, a: float,
 def _euler_sum(terms):
     """Accelerated sum of a (near-)alternating sequence of panel integrals
     by iterated averaging of partial sums."""
-    partial = np.cumsum(terms)
-    rows = partial
-    best = partial[-1]
+    rows = np.cumsum(terms)
     for _ in range(len(terms) - 1):
         rows = 0.5 * (rows[1:] + rows[:-1])
-        best = rows[-1]
-    return best
+    return rows[-1]
 
 
 def _hankel_integral(j: int, y: float, samples, head, freq: float,

@@ -619,6 +619,7 @@ _CONTRACT_INPUTS = {
     "str": "1.3", "complex": 1 + 0j, "Decimal": Decimal("1.3"),
     "float32": np.float32, "float64": np.float64,
     "int-past-float": 10 ** 400, "Fraction-past-float": Fraction(10 ** 400),
+    "unhashable": [1.3],
 }
 # "same bits": the bits of the call at the value as a Python float;
 # "finite": a finite result; "zero": equal to the call at +0.0; "zero bits":
@@ -629,9 +630,18 @@ _CONTRACT_DEFAULT = {
     "bool": ValueError, "str": ValueError, "complex": ValueError,
     "Decimal": ValueError, "float32": "same bits", "float64": "same bits",
     "int-past-float": ValueError, "Fraction-past-float": ValueError,
+    "unhashable": ValueError,
 }
 # a radius: -0.0 is not positive, and a^(l+1) leaves the floats at 1e300
 _RADIUS = {"-0.0": ValueError, "huge": OverflowError, "tiny": "finite"}
+
+
+# triple_bessel_overlap's lru_cache hashes R before _real reads it, and
+# bench/tracing.py reads that cache's cache_info: the cache goes with the
+# benchmark retarget (ROADMAP item 1a), and the ValueError with it
+_OVERLAP_CACHE_HASHES_FIRST = pytest.mark.xfail(
+    strict=True, raises=TypeError,
+    reason="the overlap cache hashes R first; ROADMAP item 1a removes it")
 
 
 def _contract_cases():
@@ -639,10 +649,12 @@ def _contract_cases():
         outcomes = {**_CONTRACT_DEFAULT,
                     **(_RADIUS if row.endswith("-a") else {}), **special}
         for kind, outcome in outcomes.items():
+            marks = (_OVERLAP_CACHE_HASHES_FIRST
+                     if (row, kind) == ("overlap-R", "unhashable") else ())
             yield pytest.param(call, valid, _CONTRACT_INPUTS[kind], outcome,
-                               id=f"{row}-{kind}")
-    # vectors: a wrong length, no sequence or a length past the floats, or a
-    # list or array in place of a tuple
+                               id=f"{row}-{kind}", marks=marks)
+    # vectors: a wrong length, no sequence, an unhashable component or a
+    # length past the floats, or a list or array in place of a tuple
     vector_calls = {
         "from_vector": lambda v: matrix_element(
             _P, _Q, SphereGeometry.from_vector(v, 1.0)),
@@ -652,6 +664,7 @@ def _contract_cases():
         for kind, vec in (("short", (0.3, 0.2)),
                           ("long", (0.3, 0.2, 1.0, 0.0)),
                           ("float", 1.0), ("None", None),
+                          ("unhashable", ([0.3], 0.2, 1.0)),
                           ("past-float-length", (1.7e308, 1.7e308, 0.0)),
                           ("list", [0.3, 0.2, 1.0]),
                           ("array", np.array([0.3, 0.2, 1.0])),
@@ -919,8 +932,11 @@ def test_block_memo_holds_values_rows_and_phases():
     # (j, m'-m) with |m'-m| <= j <= 8, keyed j^2 + j + m'-m and equal in bits
     # to _legendre_value, one radial row per unordered (l, l') and one phase
     # per m'-m, in either regime; below contact the rows hold 35 radial
-    # values of even l+l'+j
+    # values of even l+l'+j, and the block's plans 1453 terms (the count
+    # matrix_element's docstring and the README give)
     idx = [MultipoleIndex(l, m) for l in range(5) for m in range(-l, l + 1)]
+    assert sum(len(core._channel_plan(p.l, p.m, q.l, q.m)[0])
+               for p in idx for q in idx) == 1453
     x, s = math.cos(1.1), abs(math.sin(1.1))
     for R in (1.3, 2.0, 3.0):
         geom = SphereGeometry(R, 1.1, 0.7, 1.0)

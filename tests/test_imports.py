@@ -1,6 +1,7 @@
-"""The production import path is standard library only: numpy, scipy and
-mpmath load with the quadrature oracles, which the package resolves lazily
-(PEP 562) and which only `verify` uses among the CLI commands."""
+"""The production import path is standard library only: numpy and scipy
+load with the quadrature oracles, which the package resolves lazily
+(PEP 562) and which only `verify` uses among the CLI commands; mpmath, a
+test dependency, loads nowhere in the package."""
 import json
 import os
 import subprocess
@@ -28,7 +29,7 @@ for argv in (
          "--k", "0.3,0,0.4", "--radius", "1"]):
     assert cli.main(argv) == 0, argv
 before = sorted(m for m in heavy if m in sys.modules)
-# lmax 1 reaches a slowly oscillating Hankel tail term, the one use of mpmath
+# lmax 1 reaches the Hankel oracle's tail terms, which take E_p from scipy
 assert cli.main(["verify", "--lmax", "1", "--seed", "0"]) == 0
 print(json.dumps([before, sorted(m for m in heavy if m in sys.modules)]))
 """
@@ -49,7 +50,7 @@ def test_production_commands_load_no_oracle_dependencies(tmp_path):
     assert proc.returncode == 0, proc.stderr
     before, after = json.loads(proc.stdout.strip().splitlines()[-1])
     assert before == []
-    assert after == sorted(HEAVY)
+    assert after == ["numpy", "scipy"]
 
 
 def test_star_import_binds_every_public_name():

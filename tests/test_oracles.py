@@ -1,6 +1,7 @@
 """Tests for the independent quadrature oracles."""
 import math
 
+import mpmath
 import pytest
 
 from laplace_multipole.core import (
@@ -16,6 +17,8 @@ from laplace_multipole.core import (
 from laplace_multipole.errors import SingularConfiguration, TailTooLarge
 from laplace_multipole.oracles import (
     QuadratureSpec,
+    _expint,
+    _osc_power_integral,
     defining_integral_quadrature,
     hankel_forward,
     hankel_inverse,
@@ -88,6 +91,32 @@ def test_hankel_oracle_tail_guard_triggers():
     bad = QuadratureSpec(node_count=8, k_max=2.0, tail_order=0)
     with pytest.raises(TailTooLarge):
         hankel_triple_bessel(ReducedIndex(2, 2, 4), 1.0, 1.0, bad)
+
+
+def test_tail_term_against_mpmath():
+    # E_p on the imaginary axis, where the tail terms put it: p = 2..30 and
+    # |z| = 1e-6..1e3 on both sides of |z| = 1, where the recurrence hands
+    # over to the continued fraction; 4002 points.  The reference carries
+    # mpmath's E_1 up by the exact recurrence in 100 digits, which loses the
+    # digits of the product of |z|/n over the steps, 56 at |z| = 1e3: over
+    # 40 remain, and it agrees with mpmath.expint(p, z) at 40 digits
+    worst = 0.0
+    with mpmath.workdps(100):
+        for e in range(69):
+            for y in (10 ** (-6 + 9 * e / 68), -10 ** (-6 + 9 * e / 68)):
+                z = mpmath.mpc(0, y)
+                ez, want = mpmath.exp(-z), mpmath.expint(1, z)
+                for p in range(2, 31):
+                    want = (ez - z * want) / (p - 1)
+                    got = _expint(p, complex(0.0, y))
+                    worst = max(worst, abs(got - complex(want)) / abs(want))
+    assert worst <= 1e-13
+    # the continued fraction stops at its iteration cap instead of looping
+    with pytest.raises(TailTooLarge, match="did not converge"):
+        _expint(2, complex(0.0, math.nan))
+    # a term of frequency 0 is the bare power integral K^(1-p) / (p-1)
+    for p in (2, 5, 17):
+        assert _osc_power_integral(p, 0.0, 3.5) == 3.5 ** (1 - p) / (p - 1)
 
 
 def test_hankel_oracle_rejects_negative_separation():
