@@ -4,9 +4,9 @@ Reduced elements g^j_{l,l'}(R) for two spheres of equal radius a, in the
 non-overlap (R >= 2a, power law) and overlap (R <= 2a, polynomial) regimes,
 z-axis and general-orientation canonical elements, and Fourier-space
 elements.  regime_of alone validates (R, a) and picks the regime; each
-(l, l', j) is reduced once (_reduced) to its prefactor mu, its overlap
-polynomial deflated by its zero at contact, and its power-law value at
-contact, which every position-space closed form reads.
+(l, l', j) is reduced once (_reduced) to its prefactor mu, its exact
+overlap polynomial, summed at each float R/a and rounded once, and its
+power-law value at contact, which every position-space closed form reads.
 
 The overlap regime is a polynomial of degree l+l'+1 in rho = R/a.  Each
 spherical Bessel function is a finite sum of x^-p e^(+-ix) with rational
@@ -146,7 +146,7 @@ class SphereGeometry:
             d, n = _unkey(key)
             if not overlap:
                 return _power(a * 2 / rho, n + 1)
-            lo = (n - d) // 2  # k and q of (l, l', j) are those of (l', l, j)
+            lo = (n - d) // 2  # N and Q of (l, l', j) are those of (l', l, j)
             return ([_below_contact(*_reduced(lo, n - lo, j)[1:3], rho)
                      for j in range(d, n + 1)] + [_power(a, n + 1)])
 
@@ -176,7 +176,9 @@ class RadialPolynomial:
     polynomial is identically zero.  residue is the pole-cancellation
     residue of the build, always exactly 0.0: the build cancels the
     divergent and logarithmic parts in integers and raises PoleResidueError
-    when any part is left.  evaluate raises RegimeError beyond R = 2a.
+    when any part is left.  evaluate (RegimeError beyond R = 2a) sums the
+    rounded coefficients by Horner's rule, which cancels near contact and as
+    the order grows: a reference to the element's scale, not its value.
     """
 
     degree: int
@@ -190,7 +192,10 @@ class RadialPolynomial:
         if regime == "nonoverlap":
             raise RegimeError(f"overlap polynomial needs 0 <= R <= 2a, "
                               f"got R={R}, a={a}")
-        return self.scale * _horner(self.coefficients, R / a)
+        acc, rho = 0.0, R / a
+        for c in reversed(self.coefficients):
+            acc = acc * rho + c
+        return self.scale * acc
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +273,9 @@ def _overlap_assembly(l: int, lp: int, j: int) -> tuple:
     i (-1)^((l+l'+j)/2) times a sign, so the 1/eps, gamma, H_n and ln|c|
     parts are imaginary and must cancel: in each log group |c| = rho, 2 + rho,
     2 - rho and in the H_n sum.  The element is the i pi sigma/2 part, with no
-    power of rho outside 0..l+l'+1 (PoleResidueError otherwise).
-    Odd l+l'+j raises ValueError: there mu = 0 makes g_reduced vanish.
+    power of rho outside 0..l+l'+1 (PoleResidueError otherwise, as for odd
+    l+l'+j, whose ln rho part is left; _reduced builds none: there mu = 0).
     """
-    if (l + lp + j) % 2:
-        raise ValueError(f"overlap polynomial defined for even l+l'+j only, "
-                         f"got (l={l}, l'={lp}, j={j})")
     degree, top, low = l + lp + 1, l + lp + j + 2, j + 1
     size = low + top  # index i holds rho^(i - low), up to rho^-1 (sigma c)^top
     pair = {}
@@ -315,31 +317,31 @@ def _overlap_assembly(l: int, lp: int, j: int) -> tuple:
     return tuple(x // g for x in numerators), denominator // g
 
 
-def _horner(coefficients, t: float) -> float:
-    acc = 0.0
-    for c in reversed(coefficients):
-        acc = acc * t + c
-    return acc
-
-
-def _below_contact(k: int, quotient: tuple, rho: float) -> float:
-    """(2 - rho)^k q(rho): a _reduced record's integral for a = 1, rho < 2."""
-    return (2 - rho) ** k * _horner(quotient, rho)
+def _below_contact(numerators: tuple, denominator: int, rho: float) -> float:
+    """pi N(rho) / Q: a _reduced record's integral for a = 1, rho < 2, its
+    exact integers summed at the float rho = m / 2^t and rounded once."""
+    m, d = rho.as_integer_ratio()
+    t = d.bit_length() - 1
+    acc, shift = 0, 0
+    for x in reversed(numerators):  # acc = sum N_p m^p 2^(t (deg - p))
+        acc = acc * m + (x << shift)
+        shift += t
+    return math.pi * (acc / (denominator << shift - t))
 
 
 @lru_cache(maxsize=65536, typed=True)  # typed: True misses 1.0's entry
 def triple_bessel_overlap(idx: ReducedIndex, R: float, a: float) -> float:
     """int_0^inf j_j(kR) j_l(ka) j_l'(ka) dk for 0 <= R <= 2a and even
     l+l'+j (ValueError otherwise), read from the per-(l, l', j) record as
-    (2 - R/a)^k q(R/a) / a."""
+    pi N(R/a) / (Q a), summed exactly at the float R/a (_below_contact)."""
     regime, R, a = _lengths(R, a)
     if regime == "nonoverlap":
         raise RegimeError(f"overlap branch needs 0 <= R <= 2a, got R={R}, a={a}")
     if not idx.parity_even:
         raise ValueError(f"overlap polynomial defined for even l+l'+j only, "
                          f"got {idx}")
-    _, k, quotient, _ = _reduced(idx.l, idx.lp, idx.j)
-    return _below_contact(k, quotient, R / a) / a
+    _, numerators, denominator, _ = _reduced(idx.l, idx.lp, idx.j)
+    return _below_contact(numerators, denominator, R / a) / a
 
 
 # ---------------------------------------------------------------------------
@@ -369,32 +371,22 @@ def _lengths(R, a) -> tuple:
 
 @lru_cache(maxsize=None)
 def _reduced(l: int, lp: int, j: int) -> tuple:
-    """The record (mu, k, q, contact) of g^j_{l,l'} = mu a^(l+l'+2) *
+    """The record (mu, N, Q, contact) of g^j_{l,l'} = mu a^(l+l'+2) *
     triple-Bessel integral, built once.  For a = 1 the integral is
-    (2 - rho)^k q(rho) below contact rho = 2, k the multiplicity of its zero
-    there, and contact its value at R = 2, which the power law scales by
-    (2a/R)^(l+l'+1).  Odd l+l'+j (mu = 0) gives (0.0, 0, (), 0.0).
-    l > l' reuses (l', l, j), mu times (-1)^(l-l') (odd parity as is: no -0).
-
-    Horner on the expanded polynomial loses its zero at contact (a double
-    one for every j < l+l') to cancellation, so (2 - rho)^k is divided out
-    of the exact numerators N_p by synthetic division and applied in floats."""
+    pi N(rho) / Q below contact rho = 2, with _overlap_assembly's exact
+    integers N_p and Q (_below_contact sums them at each float rho and
+    rounds once, so it is right up to contact and at every order), and
+    contact its value at R = 2, which the power law scales by
+    (2a/R)^(l+l'+1).  Odd l+l'+j (mu = 0) gives (0.0, (0,), 1, 0.0).
+    l > l' reuses (l', l, j), mu times (-1)^(l-l') (odd parity as is: no -0)."""
     if l > lp:
         mu, *rest = record = _reduced(lp, l, j)
         return (-mu, *rest) if mu and (l - lp) % 2 else record
     idx = ReducedIndex(l, lp, j)
     mu = mu_coefficient(idx)
     if mu == 0.0:
-        return 0.0, 0, (), 0.0
-    numerators, denominator = _overlap_assembly(l, lp, j)
-    k = 0
-    while not sum(x * 2 ** p for p, x in enumerate(numerators)):
-        quotient, acc = [], 0  # N(rho) = (2 - rho) * quotient(rho)
-        for x in reversed(numerators[1:]):
-            acc = 2 * acc + x
-            quotient.append(-acc)
-        numerators, k = quotient[::-1], k + 1
-    return (mu, k, tuple(math.pi * (x / denominator) for x in numerators),
+        return 0.0, (0,), 1, 0.0
+    return (mu, *_overlap_assembly(l, lp, j),
             triple_bessel_nonoverlap(idx, 2.0, 1.0))
 
 
@@ -408,10 +400,10 @@ def _power(base: float, n: int) -> float:
 
 def _reduced_value(l, lp, j, regime, R, a) -> float:
     """g^j_{l,l'}(R) from the (l, l', j) record at (regime, R, a) of _lengths:
-    (2 - R/a)^k q(R/a) below contact, the stretched power law from 2a on."""
-    mu, k, quotient, contact = _reduced(l, lp, j)
+    pi N(R/a) / Q below contact, the stretched power law from 2a on."""
+    mu, numerators, denominator, contact = _reduced(l, lp, j)
     if regime == "overlap":
-        value = _below_contact(k, quotient, R / a)
+        value = _below_contact(numerators, denominator, R / a)
     else:
         value = contact * (2 * a / R) ** (l + lp + 1)
     return mu * _power(a, l + lp + 1) * value
@@ -431,8 +423,10 @@ def overlap_polynomial(idx: ReducedIndex, a: float) -> RadialPolynomial:
     of the built coefficients, and its residue 0.0, since the build raises
     PoleResidueError for any other.  Even l+l'+j only (ValueError)."""
     _, _, a = _lengths(0.0, a)
-    mu = mu_coefficient(idx)
-    numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
+    if not idx.parity_even:
+        raise ValueError(f"overlap polynomial defined for even l+l'+j only, "
+                         f"got {idx}")
+    mu, numerators, denominator, _ = _reduced(idx.l, idx.lp, idx.j)
     coefficients = tuple(mu * (math.pi * (x / denominator)) for x in numerators)
     return RadialPolynomial(len(coefficients) - 1, coefficients,
                             _power(a, idx.degree), a, residue=0.0)
@@ -497,11 +491,11 @@ def matrix_element(lm: MultipoleIndex, lpmp: MultipoleIndex,
     which collapses to the m-diagonal z-axis form at theta = 0.  One lookup of
     the cached plan (_channel_plan) gives all but R and the direction, and the
     keys of the Legendre values, radial row and phase that elements at one
-    geometry share (SphereGeometry._direction).  A row is (2 - R/a)^k q(R/a)
-    per j and a^(l+l'+1) below contact, a^(l+l'+1) (2a/R)^(l+l'+1) from R = 2a
-    on (OverflowError past floats).  Build one SphereGeometry per block and
-    reuse it: an lmax-4 block needs 81 values, 15 rows (35 radial values) and
-    17 phases for 1453 terms."""
+    geometry share (SphereGeometry._direction).  A row is pi N(R/a) / Q per j
+    (_below_contact) and a^(l+l'+1) below contact, a^(l+l'+1) (2a/R)^(l+l'+1)
+    from R = 2a on (OverflowError past floats).  Build one SphereGeometry per
+    block and reuse it: an lmax-4 block needs 81 values, 15 rows and 17
+    phases."""
     terms, contact, stretched, row_key, m1 = _channel_plan(
         lm.l, lm.m, lpmp.l, lpmp.m)
     overlap, values, rows, phases = geom._direction

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 
+_WIGNER_LMAX = 1500  # the largest Wigner order with a measured accuracy
+
 
 def _integers(*orders) -> tuple:
     """The orders as Python ints; ValueError, by type, unless each is an
@@ -157,8 +159,11 @@ def wigner_small_d(l: int, m: int, mp: int, beta: float) -> float:
     P_n^(p,q)(cos beta) with n = min(l+-m, l+-mp), p = |m-mp| and
     q = 2(l-n)-p; the sign is (-1)^(m-mp) for n in {l+mp, l-m}.  P_n comes
     from its three-term recurrence (DLMF 18.9.1), accurate where the sum over
-    k cancels; its scale and the factor before it are summed as logs."""
+    k cancels; its scale and the factor before it are summed as logs.
+    ValueError past l = _WIGNER_LMAX, before the recurrence's l steps."""
     l, m, mp = _integers(l, m, mp)
+    if l > _WIGNER_LMAX:
+        raise ValueError(f"Wigner order l must be at most {_WIGNER_LMAX}")
     if abs(m) > l or abs(mp) > l:
         raise ValueError("require |m|, |mp| <= l")
     beta = _real("beta", beta)

@@ -279,32 +279,22 @@ def _exact_reduced(mu, numerators, denominator, rho):
 
 
 def test_reduced_elements_match_exact_rationals_up_to_contact():
-    # j < l+l' polynomials have a double zero at rho = 2, which Horner in
-    # powers of rho loses to cancellation; relative error stays small there.
-    # g_reduced and mu times the triple-Bessel integral are both checked,
-    # below contact and on the power law from contact on
+    # the exact integers are summed at the float rho and rounded once, so
+    # every value below contact is within a few ulp of its own size, also
+    # at the double zero of j < l+l' polynomials at rho = 2.  g_reduced and
+    # mu times the triple-Bessel integral are both checked, below contact
+    # and on the power law from contact on
     grid = [2 * i / 200 for i in range(200)]
+    grid += [2 * (1 - 10.0 ** -k) for k in range(3, 17)]
     beyond = [2.0, 2 * (1 + 1e-12)] + [2 + 8 * i / 40 for i in range(1, 41)]
     for idx in ReducedIndex.admissible(6):
         mu = mu_coefficient(idx)
         numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
-
-        def inside(rho):
-            return (g_reduced(idx, rho, 1.0).value,
-                    mu * triple_bessel_overlap(idx, rho, 1.0))
-
-        if idx.j < idx.l + idx.lp:
-            for k in range(3, 17):
-                rho = 2 * (1 - 10.0 ** -k)
-                want = _exact_reduced(mu, numerators, denominator, rho)
-                for got in inside(rho):
-                    assert abs(got - want) <= 1e-12 * abs(want), (idx, k)
-        want = [_exact_reduced(mu, numerators, denominator, rho)
-                for rho in grid]
-        scale = max(map(abs, want))
-        for rho, w in zip(grid, want):
-            for got in inside(rho):
-                assert abs(got - w) <= 1e-12 * scale, (idx, rho)
+        for rho in grid:
+            want = _exact_reduced(mu, numerators, denominator, rho)
+            for got in (g_reduced(idx, rho, 1.0).value,
+                        mu * triple_bessel_overlap(idx, rho, 1.0)):
+                assert abs(got - want) <= 1e-15 * abs(want), (idx, rho)
         contact = Fraction(sum(x * 2 ** p for p, x in enumerate(numerators)),
                            denominator)
         for rho in beyond:
@@ -317,12 +307,8 @@ def test_reduced_elements_match_exact_rationals_up_to_contact():
 
 @lru_cache(maxsize=None)
 def _exact_record(idx):
-    """mu, (N_p, Q) and the 200-point grid scale of the fixed-grid test."""
-    mu = mu_coefficient(idx)
-    numerators, denominator = _overlap_assembly(idx.l, idx.lp, idx.j)
-    scale = max(abs(_exact_reduced(mu, numerators, denominator, 2 * i / 200))
-                for i in range(200))
-    return mu, numerators, denominator, scale
+    """mu and the exact build (N_p, Q) of idx."""
+    return (mu_coefficient(idx), *_overlap_assembly(idx.l, idx.lp, idx.j))
 
 
 _near_contact = st.builds(lambda k, side: 2 * (1 + side * 10.0 ** -k),
@@ -334,11 +320,13 @@ _near_contact = st.builds(lambda k, side: 2 * (1 + side * 10.0 ** -k),
 @settings(max_examples=300, deadline=None)
 def test_reduced_elements_match_exact_rationals_sampled(idx, rho):
     # the fixed-grid bounds at drawn separations, dense near contact:
-    # relative from rho = 2(1 - 1e-3) on, against the grid scale below it
-    mu, numerators, denominator, scale = _exact_record(idx)
+    # relative to the value, 1e-15 below contact and 1e-12 from it on;
+    # a subnormal value (at a subnormal rho) is only as fine as its last
+    # bit, so the relative bound stops at 1e-300
+    mu, numerators, denominator = _exact_record(idx)
     if rho < 2.0:
         want = _exact_reduced(mu, numerators, denominator, rho)
-        bound = 1e-12 * (abs(want) if rho >= 2 * (1 - 1e-3) else scale)
+        bound = 1e-15 * max(abs(want), 1e-300)
         got = (g_reduced(idx, rho, 1.0).value,
                mu * triple_bessel_overlap(idx, rho, 1.0))
     else:
@@ -351,6 +339,38 @@ def test_reduced_elements_match_exact_rationals_sampled(idx, rho):
                mu * triple_bessel_nonoverlap(idx, rho, 1.0))
     for value in got:
         assert abs(value - want) <= bound, (idx, rho, value, want)
+
+
+# max(l, l') in {12, 20, 40, 60}, with l != l' and j at |l-l'|, in the
+# middle and at l+l'; a cold (60, 60, 120) record alone takes about 0.7 s
+_HIGH_ORDERS = [(12, 12, 0), (5, 12, 7), (9, 12, 13), (12, 12, 24),
+                (20, 20, 0), (14, 20, 6), (20, 20, 20), (17, 20, 37),
+                (40, 40, 0), (33, 40, 41), (40, 40, 80),
+                (60, 60, 0), (50, 60, 60), (60, 60, 120)]
+
+
+def test_overlap_elements_exact_at_high_order():
+    # no cancellation at any order: within 1e-15 of the value on the grid
+    # rho = i/50 and near contact, through g_reduced, mu times the
+    # triple-Bessel integral and (for max(l, l') = 12) the geometry's row
+    grid = [i / 50 for i in range(100)]
+    grid += [2 - 2 * 10.0 ** -e for e in range(3, 15)]
+    for l, lp, j in _HIGH_ORDERS:
+        idx = ReducedIndex(l, lp, j)
+        mu, numerators, denominator = _exact_record(idx)
+        for rho in grid:
+            want = _exact_reduced(mu, numerators, denominator, rho)
+            got = [g_reduced(idx, rho, 1.0).value,
+                   mu * triple_bessel_overlap(idx, rho, 1.0)]
+            if lp <= 12:
+                rows = SphereGeometry(rho, 0.3, 0.0, 1.0)._direction[2]
+                key = (l + lp) * (l + lp + 1) + lp - l
+                got.append(mu * rows[key][j - (lp - l)])
+            for value in got:
+                assert abs(value - want) <= 1e-15 * abs(want), (idx, rho)
+    # the exact value, correctly rounded
+    assert g_reduced(ReducedIndex(60, 60, 0), 1.0, 1.0).value == \
+        0.00011909784603161483
 
 
 def _half_gamma(n):
@@ -415,8 +435,8 @@ def test_swapped_records_keep_their_bits():
     # (l', l, j) with mu times (-1)^(l-l') has the bits of the own build,
     # odd l+l'+j included, where a -0.0 would reach g_reduced and the CLI
     def bits(record):
-        mu, k, quotient, contact = record
-        return mu.hex(), k, [x.hex() for x in quotient], contact.hex()
+        mu, numerators, denominator, contact = record
+        return mu.hex(), numerators, denominator, contact.hex()
 
     for l in range(9):
         for lp in range(l):

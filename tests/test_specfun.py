@@ -2,8 +2,11 @@
 harmonics, and spherical Bessel functions."""
 import cmath
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
+import laplace_multipole
 from laplace_multipole.specfun import (EulerAngles, MultipoleIndex,
                                        _legendre_factors, spherical_bessel_j,
                                        spherical_harmonic, wigner_3j,
@@ -143,6 +147,35 @@ def test_wigner_rejects_negative_and_out_of_range_orders():
     for args in [(1, 2, 0), (1, 0, -2), (0, 1, 1)]:
         with pytest.raises(ValueError, match=r"\|m\|, \|mp\| <= l"):
             wigner_small_d(*args, 0.3)
+
+
+_CEILING_PROBE = """
+import math
+from laplace_multipole.specfun import EulerAngles, wigner_D, wigner_small_d
+angles = EulerAngles(0.1, 0.3, 0.2)
+for l in (10**400, 1501):
+    for call in (lambda: wigner_small_d(l, 1, 0, 0.3),
+                 lambda: wigner_D(l, 1, 0, angles)):
+        try:
+            call()
+        except ValueError as exc:
+            assert "Wigner order l must be at most 1500" in str(exc), exc
+        else:
+            raise SystemExit(f"no ValueError at l = {l}")
+assert math.isfinite(wigner_small_d(1500, 1, 0, 0.3))
+assert math.isfinite(abs(wigner_D(1500, 1, 0, angles)))
+"""
+
+
+def test_wigner_order_past_its_ceiling_is_rejected_up_front():
+    # past the ceiling, l = 10**400 would run the Jacobi recurrence without
+    # end: the child's timeout turns such a hang into a failure
+    src = os.path.dirname(os.path.dirname(laplace_multipole.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _CEILING_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 def test_small_d_identity_and_quarter_turn():
